@@ -15,9 +15,9 @@
 #include "common/timer.h"
 #include "gen/generators.h"
 #include "hypergraph/io.h"
-#include "hypergraph/lazy_projection.h"
+#include "hypergraph/projection.h"
 #include "hypergraph/stats.h"
-#include "motif/mochy_aplus.h"
+#include "motif/engine.h"
 #include "motif/mochy_e.h"
 
 int main() {
@@ -44,30 +44,28 @@ int main() {
   // Exact counts as the reference.
   const MotifCounts exact = CountMotifsExact(graph, 2);
 
-  // On-the-fly MoCHy-A+ under three memoization budgets.
-  const ProjectedDegrees degrees = ComputeProjectedDegrees(graph, 2);
-  MochyAPlusOptions sampling;
-  sampling.num_samples = degrees.num_wedges / 20;  // 5% of wedges
+  // On-the-fly MoCHy-A+ (the engine's lazy projection policy) under
+  // three memoization budgets: ~none, 64 KiB and 16 MiB.
+  EngineOptions sampling;
+  sampling.algorithm = Algorithm::kLinkSample;
+  sampling.projection = ProjectionPolicy::kLazy;
+  sampling.num_samples = ComputeProjectedDegrees(graph, 2).num_wedges / 20;
   sampling.seed = 5;
+  sampling.num_threads = 2;
   std::printf("\non-the-fly MoCHy-A+ (r = %llu wedge samples):\n",
               static_cast<unsigned long long>(sampling.num_samples));
   std::printf("%12s %12s %12s %10s %8s\n", "budget", "computes", "hits",
               "rel.err", "time(s)");
-  for (uint64_t budget : {0ull, 64ull << 10, 16ull << 20}) {
-    LazyProjectionOptions lazy;
-    lazy.memory_budget_bytes = budget;
-    lazy.policy = EvictionPolicy::kDegreePriority;
-    LazyProjection::Stats memo_stats;
+  for (uint64_t budget : {1ull, 64ull << 10, 16ull << 20}) {
+    sampling.memory_budget = budget;
     Timer timer;
-    const MotifCounts estimate =
-        CountMotifsWedgeSampleOnTheFly(graph, degrees, sampling, lazy,
-                                       &memo_stats)
-            .value();
+    const MotifEngine engine = MotifEngine::Create(graph, sampling).value();
+    const EngineResult estimate = engine.Count(sampling).value();
     std::printf("%12llu %12llu %12llu %10.4f %8.3f\n",
                 static_cast<unsigned long long>(budget),
-                static_cast<unsigned long long>(memo_stats.computations),
-                static_cast<unsigned long long>(memo_stats.memo_hits),
-                estimate.RelativeError(exact), timer.Seconds());
+                static_cast<unsigned long long>(estimate.stats.lazy_recomputes),
+                static_cast<unsigned long long>(estimate.stats.lazy_memo_hits),
+                estimate.counts.RelativeError(exact), timer.Seconds());
   }
   std::remove(path.c_str());
   return 0;

@@ -14,6 +14,18 @@ NeighborhoodBuilder::NeighborhoodBuilder(size_t num_edges)
 
 void NeighborhoodBuilder::Compute(const Hypergraph& graph, EdgeId e,
                                   std::vector<Neighbor>* out) {
+  Sweep(graph, e);
+  std::sort(touched_.begin(), touched_.end());
+  Emit(out);
+}
+
+void NeighborhoodBuilder::ComputeUnsorted(const Hypergraph& graph, EdgeId e,
+                                          std::vector<Neighbor>* out) {
+  Sweep(graph, e);
+  Emit(out);
+}
+
+void NeighborhoodBuilder::Sweep(const Hypergraph& graph, EdgeId e) {
   for (NodeId v : graph.edge(e)) {
     for (EdgeId other : graph.edges_of(v)) {
       if (other == e) continue;
@@ -21,7 +33,9 @@ void NeighborhoodBuilder::Compute(const Hypergraph& graph, EdgeId e,
       ++count_[other];
     }
   }
-  std::sort(touched_.begin(), touched_.end());
+}
+
+void NeighborhoodBuilder::Emit(std::vector<Neighbor>* out) {
   out->clear();
   out->reserve(touched_.size());
   for (EdgeId other : touched_) {

@@ -48,10 +48,20 @@ class NeighborhoodBuilder {
   /// Computes N(e) with weights into `out`, sorted by edge id.
   void Compute(const Hypergraph& graph, EdgeId e, std::vector<Neighbor>* out);
 
+  /// Compute() without the sort: N(e) in sweep order, for callers that
+  /// only iterate it.
+  void ComputeUnsorted(const Hypergraph& graph, EdgeId e,
+                       std::vector<Neighbor>* out);
+
   /// Cost of Compute(graph, e): Σ_{v∈e} d(v) incidence entries swept.
   static uint64_t SweepCost(const Hypergraph& graph, EdgeId e);
 
  private:
+  /// Counts e's neighbors into count_, listing them in touched_.
+  void Sweep(const Hypergraph& graph, EdgeId e);
+  /// Moves touched_ (with counts) into `out` and clears the scratch.
+  void Emit(std::vector<Neighbor>* out);
+
   std::vector<uint32_t> count_;
   std::vector<EdgeId> touched_;
 };

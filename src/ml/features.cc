@@ -3,49 +3,13 @@
 #include <algorithm>
 #include <unordered_set>
 
-#include "common/rng.h"
+#include "common/parallel.h"
 #include "gen/perturb.h"
 #include "hypergraph/builder.h"
 #include "hypergraph/projection.h"
-#include "motif/batch.h"
+#include "motif/stamp_kernels.h"
 
 namespace mochy {
-
-namespace {
-
-// Sub-hypergraph that decides a candidate's HM26 row: every instance
-// containing hyperedge e has its other two member edges within two hops
-// of e in the projection (either both overlap e, or one overlaps e and
-// the other overlaps it), and classification reads only the member node
-// sets, which the sub-hypergraph preserves verbatim. So the candidate's
-// per-edge row over {e} ∪ N(e) ∪ N(N(e)) is bit-identical to its row in
-// the full combined graph. The candidate is emitted first, so its id in
-// the subgraph is always 0.
-Result<Hypergraph> MakeCandidateNeighborhood(const Hypergraph& combined,
-                                             const ProjectedGraph& projection,
-                                             EdgeId candidate) {
-  std::vector<EdgeId> closure;
-  for (const auto& near : projection.neighbors(candidate)) {
-    closure.push_back(near.edge);
-    for (const auto& far : projection.neighbors(near.edge)) {
-      closure.push_back(far.edge);
-    }
-  }
-  std::sort(closure.begin(), closure.end());
-  closure.erase(std::unique(closure.begin(), closure.end()), closure.end());
-  closure.erase(std::remove(closure.begin(), closure.end(), candidate),
-                closure.end());
-
-  HypergraphBuilder builder;
-  builder.AddEdge(combined.edge(candidate));
-  for (EdgeId e : closure) builder.AddEdge(combined.edge(e));
-  BuildOptions build;
-  build.dedup_edges = false;  // duplicate hyperedges are distinct instances
-  build.num_nodes = combined.num_nodes();
-  return std::move(builder).Build(build);
-}
-
-}  // namespace
 
 std::vector<std::vector<double>> ComputeHandcraftedFeatures(
     const Hypergraph& graph) {
@@ -132,37 +96,31 @@ Result<PredictionTask> BuildHyperedgePredictionTask(
   if (!projection.ok()) return projection.status();
   const auto hc_rows = ComputeHandcraftedFeatures(combined);
 
-  // HM26 rows through the engine facade: one batch item per candidate
-  // neighborhood (real and fake alike). Each item generates the
-  // candidate's 2-hop sub-hypergraph on a batch worker and reports the
-  // candidate's per-edge row via MotifEngine::CountPerEdge — bit-identical
-  // to the row a full-graph ComputePerEdgeMotifCounts pass would produce
-  // (see MakeCandidateNeighborhood), with per-item status isolation.
+  // HM26 rows: a candidate's row is exactly the instances containing it
+  // in the combined graph — the core's containing-edge primitive over the
+  // combined projection, one candidate per item on the pool. Rows add
+  // integers, so they are bit-identical at any thread count.
   const size_t base = history.num_edges();
   const size_t num_candidates = candidates.size();
-  BatchOptions batch_options;
-  batch_options.num_threads = options.num_threads;
-  BatchRunner runner(batch_options);
   const ProjectedGraph& combined_projection = projection.value();
-  for (size_t i = 0; i < 2 * num_candidates; ++i) {
+  const internal::ProjectionSource source(combined, combined_projection);
+  std::vector<std::vector<double>> hm26_rows(2 * num_candidates);
+  const size_t num_threads =
+      options.num_threads == 0 ? DefaultThreadCount() : options.num_threads;
+  ParallelFor(hm26_rows.size(), num_threads, [&](size_t i) {
     const EdgeId candidate = static_cast<EdgeId>(base + i);
-    runner.AddGeneratedPerEdgeRow(
-        [&combined, &combined_projection, candidate] {
-          return MakeCandidateNeighborhood(combined, combined_projection,
-                                           candidate);
-        },
-        /*target_edge=*/0, EngineOptions{},
-        "candidate-" + std::to_string(i));
-  }
-  const BatchResult batch = runner.Run();
-  if (Status status = batch.first_error(); !status.ok()) return status;
+    std::vector<double>& row = hm26_rows[i];
+    row.assign(kNumHMotifs, 0.0);
+    internal::ForEachTripleContaining(
+        source, candidate, combined_projection.neighbors(candidate),
+        internal::ArenaFor(combined), [&row](EdgeId, EdgeId, int id) {
+          if (id != 0) row[static_cast<size_t>(id - 1)] += 1.0;
+        });
+  }, /*chunk=*/1);
 
   PredictionTask task;
   auto append = [&](size_t item, int label) {
-    const MotifCounts& row = batch.items[item].counts;
-    std::vector<double> motifs(kNumHMotifs);
-    for (int t = 1; t <= kNumHMotifs; ++t) motifs[t - 1] = row[t];
-    task.hm26.features.push_back(std::move(motifs));
+    task.hm26.features.push_back(std::move(hm26_rows[item]));
     task.hm26.labels.push_back(label);
     task.hc.features.push_back(hc_rows[base + item]);
     task.hc.labels.push_back(label);

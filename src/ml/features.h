@@ -24,7 +24,7 @@ struct PredictionTaskOptions {
   /// Fraction of members replaced when fabricating fake edges.
   double replace_fraction = 0.5;
   uint64_t seed = 1;
-  /// Worker budget for projection + batched per-candidate counting;
+  /// Worker budget for the projection and the per-candidate HM26 rows;
   /// 0 means all cores (DefaultThreadCount()).
   size_t num_threads = 0;
 };

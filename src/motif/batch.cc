@@ -56,25 +56,6 @@ BatchItemResult RunItem(const BatchItem& item, size_t num_threads) {
     return out;
   }
 
-  if (item.mode == BatchResultMode::kPerEdgeRow) {
-    if (item.target_edge >= graph->num_edges()) {
-      out.status = Status::InvalidArgument(
-          "per-edge batch item targets hyperedge " +
-          std::to_string(item.target_edge) + " but the graph has only " +
-          std::to_string(graph->num_edges()) + " hyperedges");
-      return out;
-    }
-    auto per_edge = engine.value().CountPerEdge(options);
-    if (!per_edge.ok()) {
-      out.status = per_edge.status();
-      return out;
-    }
-    const auto& row = per_edge.value().rows[item.target_edge];
-    for (int t = 1; t <= kNumHMotifs; ++t) out.counts[t] = row[t - 1];
-    out.stats = per_edge.value().stats;
-    return out;
-  }
-
   auto counted = engine.value().Count(options);
   if (!counted.ok()) {
     out.status = counted.status();
@@ -139,19 +120,6 @@ size_t BatchRunner::AddGenerated(std::function<Result<Hypergraph>()> make,
   BatchItem item;
   item.make = std::move(make);
   item.options = options;
-  item.label = std::move(label);
-  items_.push_back(std::move(item));
-  return items_.size() - 1;
-}
-
-size_t BatchRunner::AddGeneratedPerEdgeRow(
-    std::function<Result<Hypergraph>()> make, EdgeId target_edge,
-    EngineOptions options, std::string label) {
-  BatchItem item;
-  item.make = std::move(make);
-  item.options = options;
-  item.mode = BatchResultMode::kPerEdgeRow;
-  item.target_edge = target_edge;
   item.label = std::move(label);
   items_.push_back(std::move(item));
   return items_.size() - 1;

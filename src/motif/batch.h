@@ -41,17 +41,6 @@
 
 namespace mochy {
 
-/// What a batch item computes and reports in BatchItemResult::counts.
-enum class BatchResultMode {
-  /// Global counts or estimates of all 26 h-motifs (MotifEngine::Count).
-  kCounts,
-  /// The exact per-edge participation row of BatchItem::target_edge
-  /// (MotifEngine::CountPerEdge): counts[t] = instances of motif t that
-  /// contain the target hyperedge. This is how the Table-4 feature
-  /// extractor batches one item per candidate neighborhood.
-  kPerEdgeRow,
-};
-
 /// One unit of batched work: a hypergraph to count plus the EngineOptions
 /// to count it with. Exactly one of `graph` / `make` is set: `graph`
 /// borrows an existing hypergraph (it must outlive the Run() call), while
@@ -75,11 +64,6 @@ struct BatchItem {
   /// when items run inline (single item, single worker, or far more
   /// workers than items).
   EngineOptions options;
-  /// What this item computes (global counts, or one per-edge row).
-  BatchResultMode mode = BatchResultMode::kCounts;
-  /// kPerEdgeRow only: the hyperedge (by id in this item's graph) whose
-  /// row is reported. Out-of-range ids fail the item's status.
-  EdgeId target_edge = 0;
   /// Caller-chosen tag echoed back in BatchItemResult::label.
   std::string label;
 };
@@ -90,9 +74,7 @@ struct BatchItemResult {
   /// Per-item error (generation, projection build, or counting). A failed
   /// item never poisons the batch: all other items still run and report.
   Status status = Status::OK();
-  /// Counts or estimates of all 26 h-motifs — or, for a
-  /// BatchResultMode::kPerEdgeRow item, the target hyperedge's per-edge
-  /// participation row (counts[t] = motif-t instances containing it).
+  /// Counts or estimates of all 26 h-motifs.
   MotifCounts counts;
   /// Uniform per-run statistics from the engine (strategy, elapsed, …).
   EngineStats stats;
@@ -171,16 +153,6 @@ class BatchRunner {
   /// overlaps with other items' counting. Returns the item index.
   size_t AddGenerated(std::function<Result<Hypergraph>()> make,
                       EngineOptions options = {}, std::string label = {});
-
-  /// Adds a generated graph whose result is the per-edge row of
-  /// `target_edge` (BatchResultMode::kPerEdgeRow) instead of global
-  /// counts: the item's BatchItemResult::counts[t] is the number of
-  /// motif-t instances containing that hyperedge. The Table-4 feature
-  /// extractor uses this with one generated candidate-neighborhood
-  /// subgraph per item. Returns the item index.
-  size_t AddGeneratedPerEdgeRow(std::function<Result<Hypergraph>()> make,
-                                EdgeId target_edge, EngineOptions options = {},
-                                std::string label = {});
 
   /// Number of items added so far.
   size_t size() const { return items_.size(); }

@@ -1,5 +1,6 @@
 #include "motif/engine.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -7,11 +8,11 @@
 #include "common/logging.h"
 #include "common/parallel.h"
 #include "common/timer.h"
-#include "motif/enumerate.h"
 #include "motif/mochy_a.h"
 #include "motif/mochy_aplus.h"
 #include "motif/mochy_e.h"
 #include "motif/mochy_weighted.h"
+#include "motif/stamp_kernels.h"
 #include "motif/variance.h"
 
 namespace mochy {
@@ -148,7 +149,7 @@ Result<uint64_t> ParseMemoryBudget(std::string_view text) {
 
 std::string EngineStats::ToString() const {
   char buffer[256];
-  int written = std::snprintf(
+  std::snprintf(
       buffer, sizeof(buffer),
       "algorithm=%s threads=%zu samples=%llu wedges=%llu elapsed=%.3fs",
       AlgorithmName(algorithm), num_threads,
@@ -457,8 +458,12 @@ Result<PerEdgeResult> MotifEngine::CountPerEdge(
         "projection, but this engine was created with "
         "ProjectionPolicy::kLazy; recreate it with kMaterialized (or kAuto)");
   }
-  const size_t num_threads =
-      options.num_threads == 0 ? DefaultThreadCount() : options.num_threads;
+  // One |E|×26 row block per worker: size the blocks by the workers that
+  // can actually run (at most the pool), not by the request, so a huge
+  // threads= cannot allocate a block per phantom thread.
+  const size_t num_threads = std::min(
+      options.num_threads == 0 ? DefaultThreadCount() : options.num_threads,
+      DefaultThreadCount());
 
   PerEdgeResult result;
   result.stats.algorithm = Algorithm::kExact;
@@ -469,19 +474,19 @@ Result<PerEdgeResult> MotifEngine::CountPerEdge(
 
   Timer timer;
   const size_t num_edges = graph_->num_edges();
-  // One row block per enumeration thread; each instance credits its
-  // three member edges. The increments are integers (exactly
-  // representable in doubles), so the merge below is bit-identical in
-  // any order and at any thread count.
+  // Each instance credits its three member edges. The increments are
+  // integers (exactly representable in doubles), so the merge below is
+  // bit-identical in any order and at any thread count.
   std::vector<PerEdgeCounts> partial(
       num_threads, PerEdgeCounts(num_edges, std::array<double, kNumHMotifs>{}));
-  EnumerateInstancesParallel(
+  internal::ForEachInstanceParallel(
       *graph_, projection_, num_threads,
-      [&partial](size_t thread, const MotifInstance& instance) {
-        PerEdgeCounts& rows = partial[thread];
-        rows[instance.i][instance.motif - 1] += 1.0;
-        rows[instance.j][instance.motif - 1] += 1.0;
-        rows[instance.k][instance.motif - 1] += 1.0;
+      [&partial](size_t worker, EdgeId ei, EdgeId ej, EdgeId ek, int id) {
+        if (id == 0) return;
+        PerEdgeCounts& rows = partial[worker];
+        rows[ei][id - 1] += 1.0;
+        rows[ej][id - 1] += 1.0;
+        rows[ek][id - 1] += 1.0;
       });
   result.rows = std::move(partial[0]);
   for (size_t t = 1; t < num_threads; ++t) {

@@ -301,12 +301,13 @@ class MotifEngine {
   Result<EngineResult> Count(const EngineOptions& options = {}) const;
 
   /// The per-edge result mode: exact per-hyperedge participation rows
-  /// from one parallel pass over the same stamped-arena enumeration the
-  /// exact counter runs on (motif/enumerate.h). Only
-  /// `options.num_threads` is read — the rows are exact, so there is
-  /// nothing to sample or seed — and results are bit-identical at every
-  /// thread count (rows accumulate integers; merge order cannot change
-  /// the sums). Requires a materialized projection: rejected with
+  /// from one parallel pass of the hub primitive the exact counter runs
+  /// on (motif/stamp_kernels.h). Only `options.num_threads` is read — the
+  /// rows are exact, so there is nothing to sample or seed — and results
+  /// are bit-identical at every thread count (rows accumulate integers;
+  /// merge order cannot change the sums). Each worker holds one |E|×26
+  /// row block, so the worker count is capped at DefaultThreadCount()
+  /// (the pool size); stats.num_threads reports the capped count. Requires a materialized projection: rejected with
   /// InvalidArgument on a lazy engine. Thread-safe like Count().
   Result<PerEdgeResult> CountPerEdge(const EngineOptions& options = {}) const;
 

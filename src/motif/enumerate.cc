@@ -1,52 +1,16 @@
 #include "motif/enumerate.h"
 
-#include <algorithm>
-#include <vector>
-
 #include "common/logging.h"
-#include "common/parallel.h"
-#include "motif/pattern.h"
 #include "motif/stamp_kernels.h"
 
 namespace mochy {
 
-namespace {
-
-template <typename Visit>
-void EnumerateFromHub(const Hypergraph& graph,
-                      const ProjectedGraph& projection, EdgeId ei,
-                      Visit&& visit) {
-  const auto nbrs = projection.neighbors(ei);
-  const uint64_t size_i = graph.edge_size(ei);
-  for (size_t a = 0; a < nbrs.size(); ++a) {
-    const EdgeId ej = nbrs[a].edge;
-    const uint64_t w_ij = nbrs[a].weight;
-    const uint64_t size_j = graph.edge_size(ej);
-    for (size_t b = a + 1; b < nbrs.size(); ++b) {
-      const EdgeId ek = nbrs[b].edge;
-      const uint64_t w_jk = projection.Weight(ej, ek);
-      if (w_jk != 0 && ei >= std::min(ej, ek)) continue;
-      const uint64_t w_ik = nbrs[b].weight;
-      const uint64_t size_k = graph.edge_size(ek);
-      const uint64_t w_ijk =
-          w_jk == 0 ? 0 : graph.TripleIntersectionSize(ei, ej, ek);
-      // id 0 = triple with duplicated hyperedges (no h-motif, Figure 4).
-      const int id =
-          ClassifyMotifOrZero(size_i, size_j, size_k, w_ij, w_jk, w_ik, w_ijk);
-      if (id != 0) visit(MotifInstance{ei, ej, ek, id});
-    }
-  }
-}
-
-}  // namespace
-
 void EnumerateInstances(const Hypergraph& graph,
                         const ProjectedGraph& projection,
                         const std::function<void(const MotifInstance&)>& fn) {
-  MOCHY_CHECK(projection.num_edges() == graph.num_edges());
-  for (EdgeId ei = 0; ei < graph.num_edges(); ++ei) {
-    EnumerateFromHub(graph, projection, ei, fn);
-  }
+  EnumerateInstancesParallel(
+      graph, projection, /*num_threads=*/1,
+      [&fn](size_t, const MotifInstance& instance) { fn(instance); });
 }
 
 void EnumerateInstancesParallel(
@@ -54,18 +18,12 @@ void EnumerateInstancesParallel(
     size_t num_threads,
     const std::function<void(size_t thread, const MotifInstance&)>& fn) {
   MOCHY_CHECK(projection.num_edges() == graph.num_edges());
-  if (num_threads == 0) num_threads = DefaultThreadCount();
-  // Same Σd²-chunked claiming as the exact counter: per-hub work is
-  // ~|N_e|², so chunks of near-equal estimated work keep both the claiming
-  // overhead and the straggler tail small.
-  const std::vector<uint64_t> cost = internal::HubWorkEstimate(projection);
-  ParallelWorkChunks(cost, num_threads,
-                     [&](size_t thread, size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      EnumerateFromHub(graph, projection, static_cast<EdgeId>(i),
-                       [&](const MotifInstance& inst) { fn(thread, inst); });
-    }
-  });
+  internal::ForEachInstanceParallel(
+      graph, projection, num_threads,
+      [&fn](size_t worker, EdgeId ei, EdgeId ej, EdgeId ek, int id) {
+        // id 0 = triple with duplicated hyperedges (no h-motif, Figure 4).
+        if (id != 0) fn(worker, MotifInstance{ei, ej, ek, id});
+      });
 }
 
 std::vector<MotifInstance> CollectInstances(const Hypergraph& graph,

@@ -4,77 +4,17 @@
 
 #include "common/logging.h"
 #include "common/parallel.h"
-#include "common/rng.h"
-#include "common/scratch_arena.h"
 #include "motif/stamp_kernels.h"
 
 namespace mochy {
 
 namespace {
 
-/// Processes one sampled hyperedge e_i: visits every h-motif instance that
-/// contains e_i and increments raw counts. arena.edge_weight2 holds
-/// w(e_i, ·) for the whole call; arena.edge_weight is re-stamped per e_j.
-/// `nbrs` is N(e_i) and must stay valid for the whole call;
-/// `nbrs_of(ej)` returns N(e_j), valid until the next nbrs_of call — the
-/// two entry points below bind it to the materialized projection or to
-/// the lazy memo.
-template <typename InnerNbrsFn>
-void ProcessSampledEdge(const Hypergraph& graph, EdgeId ei,
-                        std::span<const Neighbor> nbrs, InnerNbrsFn&& nbrs_of,
-                        const uint32_t* size_of, ScratchArena& arena,
-                        MotifCounts& raw) {
-  StampedWeights& w_i = arena.edge_weight2;  // w(e_i, ·) over N(e_i)
-  StampedWeights& w_j = arena.edge_weight;   // w(e_j, ·), re-stamped per e_j
-  w_i.NewEpoch();
-  for (const Neighbor& n : nbrs) w_i.Set(n.edge, n.weight);
-  internal::StampHubNodes(graph, ei, arena);
-  const uint64_t size_i = size_of[ei];
-
-  for (size_t a = 0; a < nbrs.size(); ++a) {
-    const EdgeId ej = nbrs[a].edge;
-    const uint64_t w_ij = nbrs[a].weight;
-    const uint64_t size_j = size_of[ej];
-    bool pair_ready = false;
-
-    // One pass over N(e_j) replaces the old per-pair hash probes: members
-    // also adjacent to e_i stamp w_jk for the pair loop below, the rest
-    // are Case-2 instances — e_k disjoint from e_i, an open instance with
-    // hub e_j — classified on the spot.
-    w_j.NewEpoch();
-    for (const Neighbor& nj : nbrs_of(ej)) {
-      const EdgeId ek = nj.edge;
-      if (ek == ei) continue;
-      if (w_i.Get(ek) != 0) {  // in N(e_i): handled by the pair loop
-        w_j.Set(ek, nj.weight);
-        continue;
-      }
-      const int id = ClassifyMotifOrZero(size_i, size_j, size_of[ek], w_ij,
-                                         /*w_jk=*/nj.weight, /*w_ik=*/0,
-                                         /*w_ijk=*/0);
-      if (id != 0) raw[id] += 1.0;
-    }
-    // Case 1: e_k also a neighbor of e_i. Enumerate unordered pairs once
-    // (j < k by position, Algorithm 4 line 6).
-    for (size_t b = a + 1; b < nbrs.size(); ++b) {
-      const EdgeId ek = nbrs[b].edge;
-      const uint64_t w_ik = nbrs[b].weight;
-      const uint64_t size_k = size_of[ek];
-      const uint64_t w_jk = w_j.Get(ek);
-      uint64_t w_ijk = 0;
-      if (w_jk != 0) {
-        if (!pair_ready) {
-          internal::StampPairNodes(graph, ej, arena);
-          pair_ready = true;
-        }
-        w_ijk = internal::StampedTripleIntersection(graph, ek, arena);
-      }
-      // id 0 = triple with duplicated hyperedges (no h-motif, Figure 4).
-      const int id = ClassifyMotifOrZero(size_i, size_j, size_k, w_ij, w_jk,
-                                         w_ik, w_ijk);
-      if (id != 0) raw[id] += 1.0;
-    }
-  }
+/// Each instance is counted once per sampled member hyperedge, i.e.
+/// 3s/|E| times in expectation: rescale raw counts to unbiased estimates.
+MotifCounts Rescale(MotifCounts raw, uint64_t num_edges, uint64_t samples) {
+  raw *= static_cast<double>(num_edges) / (3.0 * static_cast<double>(samples));
+  return raw;
 }
 
 }  // namespace
@@ -84,89 +24,47 @@ MotifCounts CountMotifsEdgeSample(const Hypergraph& graph,
                                   const MochyAOptions& options) {
   MOCHY_CHECK(projection.num_edges() == graph.num_edges());
   const size_t m = graph.num_edges();
-  MotifCounts total;
-  if (m == 0 || options.num_samples == 0) return total;
-
-  size_t num_threads =
-      options.num_threads == 0 ? DefaultThreadCount() : options.num_threads;
-  if (num_threads > options.num_samples) {
-    num_threads = static_cast<size_t>(options.num_samples);
-  }
-  const std::vector<uint32_t> size_of = internal::HoistEdgeSizes(graph);
-  std::vector<MotifCounts> partial(num_threads);
-  const Rng base(options.seed);
-
-  auto worker = [&](size_t thread) {
-    ScratchArena& arena = LocalScratchArena();
-    arena.EnsureEdges(m);
-    arena.EnsureNodes(graph.num_nodes());
-    for (uint64_t n = thread; n < options.num_samples; n += num_threads) {
-      // Per-sample fork: the estimate is identical for any thread count.
-      Rng rng = base.Fork(n);
-      const EdgeId ei = static_cast<EdgeId>(rng.UniformInt(m));
-      ProcessSampledEdge(
-          graph, ei, projection.neighbors(ei),
-          [&](EdgeId ej) { return projection.neighbors(ej); }, size_of.data(),
-          arena, partial[thread]);
-    }
-  };
-  ParallelWorkers(num_threads, worker);
-
-  for (const MotifCounts& part : partial) total += part;
-  // Rescale: each instance is counted once per sampled member hyperedge,
-  // i.e. 3s/|E| times in expectation.
-  total *=
-      static_cast<double>(m) / (3.0 * static_cast<double>(options.num_samples));
-  return total;
+  if (m == 0 || options.num_samples == 0) return {};
+  const internal::ProjectionSource source(graph, projection);
+  const MotifCounts raw = internal::SampleInstances(
+      graph, m, options.num_samples, options.seed, options.num_threads,
+      [&](size_t) {
+        return [&](uint64_t e, ScratchArena& arena, MotifCounts& out) {
+          const EdgeId ei = static_cast<EdgeId>(e);
+          internal::ForEachTripleContaining(source, ei,
+                                            projection.neighbors(ei), arena,
+                                            internal::RawCounter(out));
+        };
+      });
+  return Rescale(raw, m, options.num_samples);
 }
 
 Result<MotifCounts> CountMotifsEdgeSampleLazy(
     const Hypergraph& graph, ConcurrentLazyProjection& lazy,
     const MochyAOptions& options, LazyProjection::Stats* stats_out) {
-  const size_t m = graph.num_edges();
-  MotifCounts total;
   if (stats_out != nullptr) *stats_out = lazy.shared_stats();
-  if (m == 0 || options.num_samples == 0) return total;
-
-  size_t num_threads =
-      options.num_threads == 0 ? DefaultThreadCount() : options.num_threads;
-  if (num_threads > options.num_samples) {
-    num_threads = static_cast<size_t>(options.num_samples);
-  }
+  const size_t m = graph.num_edges();
+  if (m == 0 || options.num_samples == 0) return MotifCounts();
   const std::vector<uint32_t> size_of = internal::HoistEdgeSizes(graph);
-  std::vector<MotifCounts> partial(num_threads);
-  std::vector<LazyProjection::Stats> local_stats(num_threads);
-  const Rng base(options.seed);
-
-  auto worker = [&](size_t thread) {
-    ScratchArena& arena = LocalScratchArena();
-    arena.EnsureEdges(m);
-    arena.EnsureNodes(graph.num_nodes());
-    NeighborhoodBuilder builder(m);
-    // Copies: memo references cannot cross the shard lock. The outer
-    // N(e_i) must survive the whole per-sample pass, the inner N(e_j)
-    // only until the next fetch — hence two buffers.
-    std::vector<Neighbor> nbrs_i, nbrs_j;
-    for (uint64_t n = thread; n < options.num_samples; n += num_threads) {
-      Rng rng = base.Fork(n);
-      const EdgeId ei = static_cast<EdgeId>(rng.UniformInt(m));
-      lazy.Neighborhood(ei, builder, &nbrs_i, &local_stats[thread]);
-      ProcessSampledEdge(
-          graph, ei, std::span<const Neighbor>(nbrs_i.data(), nbrs_i.size()),
-          [&](EdgeId ej) {
-            lazy.Neighborhood(ej, builder, &nbrs_j, &local_stats[thread]);
-            return std::span<const Neighbor>(nbrs_j.data(), nbrs_j.size());
-          },
-          size_of.data(), arena, partial[thread]);
-    }
-  };
-  ParallelWorkers(num_threads, worker);
-
-  for (const MotifCounts& part : partial) total += part;
-  total *=
-      static_cast<double>(m) / (3.0 * static_cast<double>(options.num_samples));
+  // Indexed by worker; at most one worker per sample.
+  std::vector<LazyProjection::Stats> local_stats(
+      options.num_threads == 0 ? DefaultThreadCount() : options.num_threads);
+  const MotifCounts raw = internal::SampleInstances(
+      graph, m, options.num_samples, options.seed, options.num_threads,
+      [&](size_t worker) {
+        // N(e_i) must survive the inner N(e_j) fetches: its own buffer.
+        return [&, source = internal::LazySource(graph, size_of.data(), lazy,
+                                              &local_stats[worker]),
+                buffer = std::vector<Neighbor>()](
+                   uint64_t e, ScratchArena& arena, MotifCounts& out) mutable {
+          const EdgeId ei = static_cast<EdgeId>(e);
+          internal::ForEachTripleContaining(source, ei,
+                                            source.Fetch(ei, &buffer), arena,
+                                            internal::RawCounter(out));
+        };
+      });
   if (stats_out != nullptr) *stats_out = MergeLazyRunStats(lazy, local_stats);
-  return total;
+  return Rescale(raw, m, options.num_samples);
 }
 
 }  // namespace mochy

@@ -1,5 +1,6 @@
 // MoCHy-A+: approximate h-motif counting via hyperwedge sampling
-// (paper Algorithm 5) plus the on-the-fly variant of Section 3.4.
+// (paper Algorithm 5), over a materialized projection or, for the
+// on-the-fly variant of Section 3.4, over the budgeted lazy memo.
 //
 // Samples r hyperwedges {e_i, e_j} uniformly with replacement; every
 // instance containing the wedge is found by scanning N(e_i) ∪ N(e_j).
@@ -41,26 +42,12 @@ MotifCounts CountMotifsWedgeSample(const Hypergraph& graph,
 /// graph, for the same seed, sample count, and any thread count; only
 /// the statistics depend on the memo. `stats_out`, when set, receives the
 /// per-worker hit/recompute counters merged with the memo-side
-/// byte/eviction counters. Errors when `degrees` does not match `graph`.
+/// byte/eviction counters. InvalidArgument when `degrees` does not match
+/// `graph`. Engine callers reach this through ProjectionPolicy::kLazy,
+/// which owns the memo and surfaces its stats in EngineStats.
 Result<MotifCounts> CountMotifsWedgeSampleLazy(
     const Hypergraph& graph, const ProjectedDegrees& degrees,
     ConcurrentLazyProjection& lazy, const MochyAPlusOptions& options,
-    LazyProjection::Stats* stats_out = nullptr);
-
-/// On-the-fly MoCHy-A+ with a private single-threaded memo: the raw
-/// Figure-11 experiment surface, where the memoization budget and
-/// eviction policy are the variables under study. `lazy_options` is
-/// validated (ValidateLazyProjectionOptions — a require_memoization
-/// configuration with a zero-byte budget is InvalidArgument, not a silent
-/// degrade to recompute-everything) and defaults to the documented
-/// kDefaultLazyMemoBudgetBytes budget, NOT to unbounded memoization.
-/// Identical estimates to the eager version for the same seed and sample
-/// count. Engine callers should prefer ProjectionPolicy::kLazy, which
-/// shares the memo across threads and surfaces stats in EngineStats.
-Result<MotifCounts> CountMotifsWedgeSampleOnTheFly(
-    const Hypergraph& graph, const ProjectedDegrees& degrees,
-    const MochyAPlusOptions& options,
-    const LazyProjectionOptions& lazy_options,
     LazyProjection::Stats* stats_out = nullptr);
 
 }  // namespace mochy

@@ -1,107 +1,29 @@
 #include "motif/mochy_e.h"
 
-#include <algorithm>
 #include <vector>
 
 #include "common/logging.h"
 #include "common/parallel.h"
-#include "common/scratch_arena.h"
 #include "motif/stamp_kernels.h"
 
 namespace mochy {
 
-namespace {
-
-// Scattering N(e_j) costs |N_j| writes and is amortized over the pairs
-// still to come in the hub's pair loop. When the tail of the pair loop is
-// short and N(e_j) is huge, fall back to per-pair hash probes for this
-// e_j: identical counts, better constant.
-inline bool WorthScattering(size_t neighborhood, size_t remaining_pairs) {
-  return neighborhood <= 16 + 4 * remaining_pairs;
-}
-
-// Counts every instance hubbed at e_i into `local`. The arena must be
-// sized for the graph; `size_of` is the hoisted edge-size array.
-void CountHub(const Hypergraph& graph, const ProjectedGraph& projection,
-              EdgeId ei, const uint32_t* size_of, ScratchArena& arena,
-              MotifCounts& local) {
-  const auto nbrs = projection.neighbors(ei);
-  if (nbrs.size() < 2) return;
-  const uint64_t size_i = size_of[ei];
-  internal::StampHubNodes(graph, ei, arena);
-
-  for (size_t a = 0; a + 1 < nbrs.size(); ++a) {
-    const EdgeId ej = nbrs[a].edge;
-    const uint64_t w_ij = nbrs[a].weight;
-    const uint64_t size_j = size_of[ej];
-    const size_t remaining = nbrs.size() - a - 1;
-
-    const auto nbrs_j = projection.neighbors(ej);
-    const bool scattered = WorthScattering(nbrs_j.size(), remaining);
-    if (scattered) {
-      arena.edge_weight.NewEpoch();
-      for (const Neighbor& n : nbrs_j) arena.edge_weight.Set(n.edge, n.weight);
-    }
-    // e_i ∩ e_j is scattered lazily: only hubs whose pair loop actually
-    // reaches a closed triple pay for it.
-    bool pair_ready = false;
-
-    for (size_t b = a + 1; b < nbrs.size(); ++b) {
-      const EdgeId ek = nbrs[b].edge;
-      const uint64_t w_jk =
-          scattered ? arena.edge_weight.Get(ek) : projection.Weight(ej, ek);
-      // Count open instances at their unique hub; closed instances only
-      // from the smallest hub id (Algorithm 2, line 4).
-      if (w_jk != 0 && ei >= std::min(ej, ek)) continue;
-      const uint64_t w_ik = nbrs[b].weight;
-      const uint64_t size_k = size_of[ek];
-      uint64_t w_ijk = 0;
-      if (w_jk != 0) {
-        if (!pair_ready) {
-          internal::StampPairNodes(graph, ej, arena);
-          pair_ready = true;
-        }
-        w_ijk = internal::StampedTripleIntersection(graph, ek, arena);
-      }
-      // Triples containing duplicated hyperedges correspond to no h-motif
-      // (paper Figure 4) and yield id 0: skip them. They can occur when
-      // duplicate removal is disabled (e.g. null models).
-      const int id = ClassifyMotifOrZero(size_i, size_j, size_k, w_ij, w_jk,
-                                         w_ik, w_ijk);
-      if (id != 0) local[id] += 1.0;
-    }
-  }
-}
-
-}  // namespace
-
 MotifCounts CountMotifsExact(const Hypergraph& graph,
                              const ProjectedGraph& projection,
                              size_t num_threads) {
-  const size_t m = graph.num_edges();
-  MOCHY_CHECK(projection.num_edges() == m)
+  MOCHY_CHECK(projection.num_edges() == graph.num_edges())
       << "projection does not match hypergraph";
   if (num_threads == 0) num_threads = DefaultThreadCount();
 
-  const std::vector<uint32_t> size_of = internal::HoistEdgeSizes(graph);
-
-  // Per-hub work is ~|N_e|² and projected degrees are heavy-tailed, so
-  // static blocks balance poorly and one atomic claim per hub wastes the
-  // cheap hubs. Chunk hubs by the Σd² work estimate instead: workers claim
-  // whole chunks of near-equal estimated work with a single atomic each.
-  const std::vector<uint64_t> cost = internal::HubWorkEstimate(projection);
   std::vector<MotifCounts> partial(num_threads);
-  ParallelWorkChunks(cost, num_threads,
-                     [&](size_t thread, size_t begin, size_t end) {
-    ScratchArena& arena = LocalScratchArena();
-    arena.EnsureEdges(m);
-    arena.EnsureNodes(graph.num_nodes());
-    MotifCounts& local = partial[thread];
-    for (size_t i = begin; i < end; ++i) {
-      CountHub(graph, projection, static_cast<EdgeId>(i), size_of.data(),
-               arena, local);
-    }
-  });
+  internal::ForEachInstanceParallel(
+      graph, projection, num_threads,
+      [&partial](size_t worker, EdgeId, EdgeId, EdgeId, int id) {
+        // id 0: a triple with duplicated hyperedges, which corresponds to
+        // no h-motif (paper Figure 4). Null models that keep duplicate
+        // hyperedges produce them.
+        if (id != 0) partial[worker][id] += 1.0;
+      });
 
   MotifCounts total;
   for (const MotifCounts& part : partial) total += part;

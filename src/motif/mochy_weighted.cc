@@ -6,34 +6,14 @@
 #include "common/alias_table.h"
 #include "common/logging.h"
 #include "common/rng.h"
-#include "motif/pattern.h"
+#include "hypergraph/projection.h"
+#include "motif/stamp_kernels.h"
 
 namespace mochy {
-
-namespace {
-
-/// Computes the weighted neighborhood of `e` into dense scratch, returning
-/// the touched edges (unsorted). count[] must be all-zero on entry; the
-/// caller resets it via the returned list.
-void ComputeNeighborhood(const Hypergraph& graph, EdgeId e,
-                         std::vector<uint32_t>& count,
-                         std::vector<EdgeId>& touched) {
-  touched.clear();
-  for (NodeId v : graph.edge(e)) {
-    for (EdgeId other : graph.edges_of(v)) {
-      if (other == e) continue;
-      if (count[other] == 0) touched.push_back(other);
-      ++count[other];
-    }
-  }
-}
-
-}  // namespace
 
 Result<MochyWeightedResult> CountMotifsWeightedWedge(
     const Hypergraph& graph, const MochyWeightedOptions& options) {
   const size_t n = graph.num_nodes();
-  const size_t m = graph.num_edges();
   if (options.num_samples == 0) {
     return Status::InvalidArgument("need at least one sample");
   }
@@ -58,8 +38,9 @@ Result<MochyWeightedResult> CountMotifsWeightedWedge(
   result.estimated_num_wedges = 0.0;
 
   Rng rng(options.seed);
-  std::vector<uint32_t> count_i(m, 0), count_j(m, 0);
-  std::vector<EdgeId> touched_i, touched_j;
+  ScratchArena& arena = internal::ArenaFor(graph);
+  NeighborhoodBuilder builder(graph.num_edges());
+  std::vector<Neighbor> nbrs_i, nbrs_j;
   const double w_total = static_cast<double>(total_weight);
   const double r = static_cast<double>(options.num_samples);
 
@@ -72,40 +53,23 @@ Result<MochyWeightedResult> CountMotifsWeightedWedge(
     EdgeId ej = incident[pick[1]];
     if (ei > ej) std::swap(ei, ej);
 
-    const uint64_t size_i = graph.edge_size(ei);
-    const uint64_t size_j = graph.edge_size(ej);
-    ComputeNeighborhood(graph, ei, count_i, touched_i);
-    ComputeNeighborhood(graph, ej, count_j, touched_j);
-    const uint64_t w_ij = count_i[ej];
+    builder.ComputeUnsorted(graph, ei, &nbrs_i);
+    builder.ComputeUnsorted(graph, ej, &nbrs_j);
+    const uint64_t w_ij = graph.IntersectionSize(ei, ej);
     MOCHY_DCHECK(w_ij > 0);
     result.estimated_num_wedges += w_total / (static_cast<double>(w_ij) * r);
 
-    // Horvitz-Thompson base weight for this wedge.
+    // Horvitz-Thompson weight of each instance around this wedge. Every
+    // instance of motif t adds the same constant, once per instance, so
+    // the order the core visits them in cannot change a bit of the sum.
     const double inclusion = static_cast<double>(w_ij) / w_total;
-    // One instance per e_k adjacent to e_i or e_j.
-    for (EdgeId ek : touched_i) {
-      if (ek == ej) continue;
-      const uint64_t w_ik = count_i[ek];
-      const uint64_t w_jk = count_j[ek];
-      const uint64_t w_ijk =
-          w_jk == 0 ? 0 : graph.TripleIntersectionSize(ei, ej, ek);
-      const int id = ClassifyMotifOrZero(size_i, size_j, graph.edge_size(ek),
-                                         w_ij, w_jk, w_ik, w_ijk);
-      if (id == 0) continue;
-      const double wedges_per_instance = IsOpenMotif(id) ? 2.0 : 3.0;
-      result.counts[id] += 1.0 / (inclusion * wedges_per_instance * r);
-    }
-    for (EdgeId ek : touched_j) {
-      if (ek == ei || count_i[ek] != 0) continue;  // handled above
-      const int id = ClassifyMotifOrZero(size_i, size_j, graph.edge_size(ek),
-                                         w_ij, /*w_bc=*/count_j[ek],
-                                         /*w_ca=*/0, /*w_abc=*/0);
-      if (id == 0) continue;
-      const double wedges_per_instance = IsOpenMotif(id) ? 2.0 : 3.0;
-      result.counts[id] += 1.0 / (inclusion * wedges_per_instance * r);
-    }
-    for (EdgeId e : touched_i) count_i[e] = 0;
-    for (EdgeId e : touched_j) count_j[e] = 0;
+    internal::ForEachWedgeTriple(
+        graph, ei, ej, w_ij, nbrs_i, nbrs_j, arena,
+        [&](EdgeId, EdgeId, int id) {
+          if (id == 0) return;
+          const double wedges_per_instance = IsOpenMotif(id) ? 2.0 : 3.0;
+          result.counts[id] += 1.0 / (inclusion * wedges_per_instance * r);
+        });
   }
   return result;
 }

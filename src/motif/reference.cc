@@ -4,6 +4,7 @@
 #include <atomic>
 #include <vector>
 
+#include "common/alias_table.h"
 #include "common/logging.h"
 #include "common/parallel.h"
 #include "common/rng.h"
@@ -160,6 +161,22 @@ void RescaleWedgeEstimates(uint64_t num_wedges, uint64_t num_samples,
   }
 }
 
+/// Computes the weighted neighborhood of `e` into dense scratch, returning
+/// the touched edges (unsorted). count[] must be all-zero on entry; the
+/// caller resets it via the returned list.
+void ComputeNeighborhood(const Hypergraph& graph, EdgeId e,
+                         std::vector<uint32_t>& count,
+                         std::vector<EdgeId>& touched) {
+  touched.clear();
+  for (NodeId v : graph.edge(e)) {
+    for (EdgeId other : graph.edges_of(v)) {
+      if (other == e) continue;
+      if (count[other] == 0) touched.push_back(other);
+      ++count[other];
+    }
+  }
+}
+
 }  // namespace
 
 MotifCounts CountMotifsEdgeSample(const Hypergraph& graph,
@@ -232,6 +249,86 @@ MotifCounts CountMotifsWedgeSample(const Hypergraph& graph,
   for (const MotifCounts& part : partial) total += part;
   RescaleWedgeEstimates(wedges, options.num_samples, &total);
   return total;
+}
+
+Result<MochyWeightedResult> CountMotifsWeightedWedge(
+    const Hypergraph& graph, const MochyWeightedOptions& options) {
+  const size_t n = graph.num_nodes();
+  const size_t m = graph.num_edges();
+  if (options.num_samples == 0) {
+    return Status::InvalidArgument("need at least one sample");
+  }
+  // Node weights C(d_v, 2): each unordered incident-edge pair at v is one
+  // unit of wedge weight; summing over v counts every wedge omega times.
+  std::vector<double> node_weight(n, 0.0);
+  uint64_t total_weight = 0;
+  for (NodeId v = 0; v < n; ++v) {
+    const uint64_t d = graph.degree(v);
+    const uint64_t pairs = d * (d - 1) / 2;
+    node_weight[v] = static_cast<double>(pairs);
+    total_weight += pairs;
+  }
+  if (total_weight == 0) {
+    return Status::FailedPrecondition(
+        "hypergraph has no hyperwedges (no node with degree >= 2)");
+  }
+  MOCHY_ASSIGN_OR_RETURN(AliasTable table, AliasTable::Build(node_weight));
+
+  MochyWeightedResult result;
+  result.total_weight = total_weight;
+  result.estimated_num_wedges = 0.0;
+
+  Rng rng(options.seed);
+  std::vector<uint32_t> count_i(m, 0), count_j(m, 0);
+  std::vector<EdgeId> touched_i, touched_j;
+  const double w_total = static_cast<double>(total_weight);
+  const double r = static_cast<double>(options.num_samples);
+
+  for (uint64_t sample = 0; sample < options.num_samples; ++sample) {
+    // Draw the wedge proportional to omega.
+    const NodeId v = static_cast<NodeId>(table.Sample(rng));
+    const auto incident = graph.edges_of(v);
+    const auto pick = rng.SampleDistinct(incident.size(), 2);
+    EdgeId ei = incident[pick[0]];
+    EdgeId ej = incident[pick[1]];
+    if (ei > ej) std::swap(ei, ej);
+
+    const uint64_t size_i = graph.edge_size(ei);
+    const uint64_t size_j = graph.edge_size(ej);
+    ComputeNeighborhood(graph, ei, count_i, touched_i);
+    ComputeNeighborhood(graph, ej, count_j, touched_j);
+    const uint64_t w_ij = count_i[ej];
+    MOCHY_DCHECK(w_ij > 0);
+    result.estimated_num_wedges += w_total / (static_cast<double>(w_ij) * r);
+
+    // Horvitz-Thompson base weight for this wedge.
+    const double inclusion = static_cast<double>(w_ij) / w_total;
+    // One instance per e_k adjacent to e_i or e_j.
+    for (EdgeId ek : touched_i) {
+      if (ek == ej) continue;
+      const uint64_t w_ik = count_i[ek];
+      const uint64_t w_jk = count_j[ek];
+      const uint64_t w_ijk =
+          w_jk == 0 ? 0 : graph.TripleIntersectionSize(ei, ej, ek);
+      const int id = ClassifyMotifOrZero(size_i, size_j, graph.edge_size(ek),
+                                         w_ij, w_jk, w_ik, w_ijk);
+      if (id == 0) continue;
+      const double wedges_per_instance = IsOpenMotif(id) ? 2.0 : 3.0;
+      result.counts[id] += 1.0 / (inclusion * wedges_per_instance * r);
+    }
+    for (EdgeId ek : touched_j) {
+      if (ek == ei || count_i[ek] != 0) continue;  // handled above
+      const int id = ClassifyMotifOrZero(size_i, size_j, graph.edge_size(ek),
+                                         w_ij, /*w_bc=*/count_j[ek],
+                                         /*w_ca=*/0, /*w_abc=*/0);
+      if (id == 0) continue;
+      const double wedges_per_instance = IsOpenMotif(id) ? 2.0 : 3.0;
+      result.counts[id] += 1.0 / (inclusion * wedges_per_instance * r);
+    }
+    for (EdgeId e : touched_i) count_i[e] = 0;
+    for (EdgeId e : touched_j) count_j[e] = 0;
+  }
+  return result;
 }
 
 }  // namespace mochy::reference

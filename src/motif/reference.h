@@ -2,11 +2,12 @@
 /// Retained pre-stamp-array counting kernels (the hash-probe baselines).
 ///
 /// These are the MoCHy-E/A/A+ implementations as they stood before the
-/// stamp-array rewrite: the exact counter probes `ProjectedGraph::Weight`
-/// (an open-addressing hash table) once per candidate pair and computes
-/// triple intersections with Lemma-2 binary searches; the samplers clear
-/// their |E|-sized scratch explicitly after every sample. They are kept,
-/// verbatim, for two purposes:
+/// stamp-array rewrite, and the MoCHy-A+W loop as it stood before the
+/// shared enumeration core (motif/stamp_kernels.h): the exact counter
+/// probes `ProjectedGraph::Weight` (an open-addressing hash table) once
+/// per candidate pair and computes triple intersections with Lemma-2
+/// binary searches; the samplers clear their |E|-sized scratch explicitly
+/// after every sample. They are kept, verbatim, for two purposes:
 ///
 ///  - **differential testing**: the production kernels must stay
 ///    bit-identical to these on every graph, seed and thread count
@@ -25,6 +26,7 @@
 #include "motif/counts.h"
 #include "motif/mochy_a.h"
 #include "motif/mochy_aplus.h"
+#include "motif/mochy_weighted.h"
 
 namespace mochy::reference {
 
@@ -42,6 +44,12 @@ MotifCounts CountMotifsEdgeSample(const Hypergraph& graph,
 MotifCounts CountMotifsWedgeSample(const Hypergraph& graph,
                                    const ProjectedGraph& projection,
                                    const MochyAPlusOptions& options);
+
+/// MoCHy-A+W with unsorted dense-counter neighborhoods, two |E|-sized
+/// counter arrays per call and Lemma-2 binary-search triple
+/// intersections. Same draws, same estimates, bit for bit.
+Result<MochyWeightedResult> CountMotifsWeightedWedge(
+    const Hypergraph& graph, const MochyWeightedOptions& options = {});
 
 }  // namespace mochy::reference
 

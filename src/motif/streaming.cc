@@ -10,7 +10,7 @@
 #include "common/parallel.h"
 #include "common/scratch_arena.h"
 #include "common/timer.h"
-#include "motif/pattern.h"
+#include "motif/stamp_kernels.h"
 
 namespace mochy {
 
@@ -126,91 +126,6 @@ Status StreamingEngine::Restore(const std::vector<std::vector<NodeId>>& edges,
   return Status::OK();
 }
 
-// Sizes `arena` for the current graph and scatters the arrival's
-// neighborhood (N(e) membership + w(e, ·)) and node set. Done once per
-// executing thread and arrival: the delta loops below only bump the
-// edge_weight / node_pair epochs, which leaves these stamps valid
-// across chunk claims.
-void StreamingEngine::PrepareDeltaScratch(EdgeId e,
-                                          ScratchArena& arena) const {
-  arena.EnsureEdges(graph_.num_edges());
-  arena.EnsureNodes(graph_.num_nodes());
-  arena.edge_weight2.NewEpoch();
-  for (const Neighbor& n : graph_.neighbors(e)) {
-    arena.edge_weight2.Set(n.edge, n.weight);
-  }
-  arena.node_hub.NewEpoch();
-  for (const NodeId v : graph_.edge(e)) arena.node_hub.Insert(v);
-}
-
-// Enumerates every new instance whose smallest role is played by the
-// neighbors nbrs[begin..end) of the arrival `e` (see docs/STREAMING.md:
-// hub-at-e pairs are split by their first element, leaf triples by the
-// shared neighbor). `arena` must be prepared via PrepareDeltaScratch;
-// safe to run concurrently for disjoint ranges with per-thread arenas.
-void StreamingEngine::CountDeltaRange(EdgeId e, size_t begin, size_t end,
-                                      ScratchArena& arena,
-                                      DeltaCounters& out) const {
-  const auto nbrs = graph_.neighbors(e);
-  const uint64_t size_e = graph_.edge_size(e);
-
-  for (size_t ai = begin; ai < end; ++ai) {
-    const EdgeId a = nbrs[ai].edge;
-    const uint64_t w_ea = nbrs[ai].weight;
-    const uint64_t size_a = graph_.edge_size(a);
-
-    // One sweep over N(a): scatter w(a, ·) for the pair loop below and
-    // emit the leaf triples {e, a, b} with b outside N(e) on the way.
-    arena.edge_weight.NewEpoch();
-    for (const Neighbor& nb : graph_.neighbors(a)) {
-      const EdgeId b = nb.edge;
-      if (b == e) continue;
-      arena.edge_weight.Set(b, nb.weight);
-      if (arena.edge_weight2.Test(b)) continue;  // hub pair, handled below
-      ++out.candidates;
-      // b never touches e: the triple is open with hub a, and the
-      // triple intersection is empty.
-      const int id = ClassifyMotifOrZero(size_e, size_a, graph_.edge_size(b),
-                                         w_ea, nb.weight, /*w_ca=*/0,
-                                         /*w_abc=*/0);
-      if (id != 0) {
-        out.counts[id] += 1.0;
-        ++out.instances;
-      }
-    }
-
-    // Pairs {a, b} within N(e), deduplicated by a < b in neighbor order.
-    // e ∩ a is stamped lazily: only pairs that reach a closed triple pay
-    // for it (same trick as the static hub kernel).
-    bool pair_ready = false;
-    for (size_t bi = ai + 1; bi < nbrs.size(); ++bi) {
-      const EdgeId b = nbrs[bi].edge;
-      const uint64_t w_eb = nbrs[bi].weight;
-      const uint64_t w_ab = arena.edge_weight.Get(b);
-      ++out.candidates;
-      uint64_t w_eab = 0;
-      if (w_ab != 0) {
-        if (!pair_ready) {
-          arena.node_pair.NewEpoch();
-          for (const NodeId v : graph_.edge(a)) {
-            if (arena.node_hub.Test(v)) arena.node_pair.Insert(v);
-          }
-          pair_ready = true;
-        }
-        for (const NodeId v : graph_.edge(b)) {
-          w_eab += arena.node_pair.Test(v) ? 1 : 0;
-        }
-      }
-      const int id = ClassifyMotifOrZero(size_e, size_a, graph_.edge_size(b),
-                                         w_ea, w_ab, w_eb, w_eab);
-      if (id != 0) {
-        out.counts[id] += 1.0;
-        ++out.instances;
-      }
-    }
-  }
-}
-
 // Enumerates the motif instances containing `e` in the current graph:
 // the delta an arrival adds and, symmetrically, the delta a removal
 // subtracts (callers apply the sign). `e` must be live.
@@ -218,6 +133,28 @@ StreamingEngine::DeltaCounters StreamingEngine::EnumerateDelta(EdgeId e) {
   DeltaCounters total;
   const auto nbrs = graph_.neighbors(e);
   if (nbrs.empty()) return total;
+
+  // The delta is the core's "instances containing e" over the live graph,
+  // split by the first neighbor in N(e) (see docs/STREAMING.md). Each
+  // executing thread stamps N(e) and e's nodes once for the whole
+  // arrival, not per range: the scatter is O(Δ) and would otherwise be
+  // repaid ~16 times per worker.
+  auto prepare = [&]() -> ScratchArena& {
+    ScratchArena& arena = internal::ArenaFor(graph_);
+    internal::StampContainingEdge(graph_, e, nbrs, arena);
+    return arena;
+  };
+  auto count_range = [&](size_t begin, size_t end, ScratchArena& arena,
+                         DeltaCounters& out) {
+    internal::ForEachTripleContainingRange(
+        graph_, e, nbrs, begin, end, arena, [&out](EdgeId, EdgeId, int id) {
+          ++out.candidates;
+          if (id != 0) {
+            out.counts[id] += 1.0;
+            ++out.instances;
+          }
+        });
+  };
 
   // Estimated delta work, mirroring the static hub estimate |N|²: the
   // pair loop is |N(e)|² and each neighbor's adjacency is swept once.
@@ -234,21 +171,18 @@ StreamingEngine::DeltaCounters StreamingEngine::EnumerateDelta(EdgeId e) {
                  static_cast<uint64_t>(nbrs.size() - ai);
     }
     // Claim Σ-cost-balanced chunks with one atomic each (the hub-loop
-    // scheduling idiom), but prepare each thread's arena once for the
-    // whole arrival, not per chunk: the N(e)/node scatter is O(Δ) and
-    // would otherwise be repaid ~16 times per worker.
+    // scheduling idiom), preparing each thread's arena once.
     const std::vector<size_t> chunks =
         WorkChunkBoundaries(cost, workers * 16);
     const size_t num_chunks = chunks.size() - 1;
     std::atomic<size_t> next_chunk{0};
     std::vector<DeltaCounters> partial(workers);
     ParallelWorkers(workers, [&](size_t worker) {
-      ScratchArena& arena = LocalScratchArena();
-      PrepareDeltaScratch(e, arena);
+      ScratchArena& arena = prepare();
       while (true) {
         const size_t c = next_chunk.fetch_add(1, std::memory_order_relaxed);
         if (c >= num_chunks) return;
-        CountDeltaRange(e, chunks[c], chunks[c + 1], arena, partial[worker]);
+        count_range(chunks[c], chunks[c + 1], arena, partial[worker]);
       }
     });
     for (const DeltaCounters& part : partial) {
@@ -257,9 +191,7 @@ StreamingEngine::DeltaCounters StreamingEngine::EnumerateDelta(EdgeId e) {
       total.instances += part.instances;
     }
   } else {
-    ScratchArena& arena = LocalScratchArena();
-    PrepareDeltaScratch(e, arena);
-    CountDeltaRange(e, 0, nbrs.size(), arena, total);
+    count_range(0, nbrs.size(), prepare(), total);
   }
   return total;
 }

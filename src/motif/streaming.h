@@ -133,9 +133,6 @@ class StreamingEngine {
  private:
   struct DeltaCounters;
   DeltaCounters EnumerateDelta(EdgeId e);
-  void PrepareDeltaScratch(EdgeId e, ScratchArena& arena) const;
-  void CountDeltaRange(EdgeId e, size_t begin, size_t end,
-                       ScratchArena& arena, DeltaCounters& out) const;
 
   StreamingOptions options_;
   size_t resolved_threads_ = 1;

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "hypergraph/builder.h"
 #include "motif/mochy_e.h"
@@ -384,6 +385,28 @@ TEST(MotifEnginePerEdgeTest, BitIdenticalAtEveryThreadCount) {
         EXPECT_EQ(result.rows[e][m], baseline.rows[e][m])
             << "edge " << e << " motif " << m + 1 << " threads " << threads;
       }
+    }
+  }
+}
+
+TEST(MotifEnginePerEdgeTest, HugeThreadRequestIsCappedAtPoolSize) {
+  // One |E|×26 row block per worker: a threads=4096 request (the wire
+  // maximum) must size its blocks by the workers that can run, not by
+  // the request, and still produce the serial rows bit for bit.
+  const Hypergraph g = testing::RandomHypergraph(40, 90, 1, 6, 53);
+  const MotifEngine engine = MotifEngine::Create(g).value();
+  EngineOptions serial;
+  serial.num_threads = 1;
+  const PerEdgeResult baseline = engine.CountPerEdge(serial).value();
+  EngineOptions huge;
+  huge.num_threads = 4096;
+  const PerEdgeResult result = engine.CountPerEdge(huge).value();
+  EXPECT_LE(result.stats.num_threads, DefaultThreadCount());
+  ASSERT_EQ(result.rows.size(), baseline.rows.size());
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    for (int m = 0; m < kNumHMotifs; ++m) {
+      EXPECT_EQ(result.rows[e][m], baseline.rows[e][m])
+          << "edge " << e << " motif " << m + 1;
     }
   }
 }

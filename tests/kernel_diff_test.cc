@@ -9,6 +9,7 @@
 // models do) and the paper's Figure-2 running example.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <vector>
 
 #include "common/parallel.h"
@@ -18,7 +19,9 @@
 #include "motif/mochy_a.h"
 #include "motif/mochy_aplus.h"
 #include "motif/mochy_e.h"
+#include "motif/mochy_weighted.h"
 #include "motif/reference.h"
+#include "motif/streaming.h"
 #include "tests/test_util.h"
 
 namespace mochy {
@@ -184,6 +187,108 @@ TEST(KernelDiffTest, Figure2GoldenVector) {
   }
   ExpectBitIdentical(reference::CountMotifsExact(graph, projection, 1), want,
                      "figure-2 reference");
+}
+
+/// Graphs with duplicate hyperedges retained, across density and skew.
+std::vector<Hypergraph> DuplicateSweep() {
+  std::vector<Hypergraph> graphs;
+  graphs.push_back(RandomWithDuplicates(40, 90, 2, 6, 31));
+  graphs.push_back(RandomWithDuplicates(15, 60, 2, 5, 37));
+  graphs.push_back(RandomWithDuplicates(80, 70, 1, 8, 41));
+  return graphs;
+}
+
+Hypergraph Figure2Graph() {
+  return MakeHypergraph({{0, 1, 2}, {0, 3, 1}, {4, 5, 0}, {6, 7, 2}}).value();
+}
+
+TEST(KernelDiffTest, WeightedMatchesReference) {
+  std::vector<Hypergraph> graphs = DuplicateSweep();
+  graphs.push_back(Figure2Graph());
+  for (const Hypergraph& graph : graphs) {
+    for (uint64_t seed : {1u, 77u}) {
+      MochyWeightedOptions options;
+      options.num_samples = 300;
+      options.seed = seed;
+      const MochyWeightedResult want =
+          reference::CountMotifsWeightedWedge(graph, options).value();
+      const MochyWeightedResult got =
+          CountMotifsWeightedWedge(graph, options).value();
+      const std::string label = "weighted m=" +
+                                std::to_string(graph.num_edges()) +
+                                " seed=" + std::to_string(seed);
+      ExpectBitIdentical(got.counts, want.counts, label);
+      EXPECT_EQ(got.estimated_num_wedges, want.estimated_num_wedges) << label;
+      EXPECT_EQ(got.total_weight, want.total_weight) << label;
+    }
+  }
+}
+
+TEST(KernelDiffTest, PerEdgeRowsMatchBruteForceWithDuplicates) {
+  for (const Hypergraph& graph : DuplicateSweep()) {
+    const size_t m = graph.num_edges();
+    std::vector<std::set<NodeId>> sets(m);
+    for (EdgeId e = 0; e < m; ++e) {
+      sets[e] = std::set<NodeId>(graph.edge(e).begin(), graph.edge(e).end());
+    }
+    PerEdgeCounts want(m, std::array<double, kNumHMotifs>{});
+    for (size_t i = 0; i < m; ++i) {
+      for (size_t j = i + 1; j < m; ++j) {
+        for (size_t k = j + 1; k < m; ++k) {
+          const int id =
+              testing::BruteForceClassify(sets[i], sets[j], sets[k]);
+          if (id == 0) continue;
+          for (size_t e : {i, j, k}) want[e][id - 1] += 1.0;
+        }
+      }
+    }
+    const MotifEngine engine = MotifEngine::Create(graph).value();
+    for (size_t threads : {1u, 2u, 4u}) {
+      EngineOptions options;
+      options.num_threads = threads;
+      const PerEdgeCounts got = engine.CountPerEdge(options).value().rows;
+      ASSERT_EQ(got.size(), m);
+      for (EdgeId e = 0; e < m; ++e) {
+        for (int t = 0; t < kNumHMotifs; ++t) {
+          EXPECT_EQ(got[e][t], want[e][t])
+              << "m=" << m << " threads=" << threads << " edge " << e
+              << " motif " << t + 1;
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelDiffTest, StreamingArrivalThenRemovalMatchesReference) {
+  for (const Hypergraph& graph : DuplicateSweep()) {
+    for (size_t threads : {1u, 4u}) {
+      StreamingOptions options;
+      options.num_threads = threads;
+      options.parallel_work_threshold = 0;  // fan out every delta pass
+      StreamingEngine engine(options);
+      const auto expect_exact = [&](const std::string& label) {
+        const Hypergraph snapshot = engine.graph().Snapshot().value();
+        const auto projection = ProjectedGraph::Build(snapshot, 1).value();
+        ExpectBitIdentical(engine.counts(),
+                           reference::CountMotifsExact(snapshot, projection),
+                           label + " m=" + std::to_string(graph.num_edges()) +
+                               " threads=" + std::to_string(threads));
+      };
+      for (EdgeId e = 0; e < graph.num_edges(); ++e) {
+        ASSERT_TRUE(engine.AddEdge(graph.edge(e)).ok());
+      }
+      expect_exact("after arrivals");
+      // Remove every other edge, then the rest, checking after each pass.
+      for (EdgeId e = 0; e < graph.num_edges(); e += 2) {
+        ASSERT_TRUE(engine.RemoveEdge(e).ok());
+      }
+      expect_exact("after half the removals");
+      for (EdgeId e = 1; e < graph.num_edges(); e += 2) {
+        ASSERT_TRUE(engine.RemoveEdge(e).ok());
+      }
+      expect_exact("after all removals");
+    }
+  }
 }
 
 TEST(KernelDiffTest, WorkChunkBoundariesCoverTheRange) {

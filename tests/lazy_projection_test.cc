@@ -84,12 +84,9 @@ TEST(LazyProjectionTest, RequireMemoizationWithZeroBudgetIsRejected) {
   EXPECT_FALSE(ValidateLazyProjectionOptions(options).ok());
   EXPECT_FALSE(LazyProjection::Create(g, options).ok());
   const ProjectedDegrees degrees = ComputeProjectedDegrees(g);
-  EXPECT_FALSE(ConcurrentLazyProjection::Create(g, degrees, options).ok());
-  MochyAPlusOptions sampling;
-  sampling.num_samples = 10;
-  auto fly = CountMotifsWedgeSampleOnTheFly(g, degrees, sampling, options);
-  ASSERT_FALSE(fly.ok());
-  EXPECT_EQ(fly.status().code(), StatusCode::kInvalidArgument);
+  auto rejected = ConcurrentLazyProjection::Create(g, degrees, options);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
   // Budgets below one empty memo entry are equally useless.
   options.memory_budget_bytes = LazyEntryBytes(0) - 1;
   EXPECT_FALSE(ValidateLazyProjectionOptions(options).ok());
@@ -104,8 +101,26 @@ TEST(LazyProjectionTest, RequireMemoizationWithZeroBudgetIsRejected) {
   // A workable budget with the same flag is fine.
   options.memory_budget_bytes = 1 << 20;
   EXPECT_TRUE(ValidateLazyProjectionOptions(options).ok());
+  auto memo = ConcurrentLazyProjection::Create(g, degrees, options);
+  ASSERT_TRUE(memo.ok());
+  MochyAPlusOptions sampling;
+  sampling.num_samples = 10;
   EXPECT_TRUE(
-      CountMotifsWedgeSampleOnTheFly(g, degrees, sampling, options).ok());
+      CountMotifsWedgeSampleLazy(g, degrees, *memo.value(), sampling).ok());
+}
+
+TEST(LazyProjectionTest, WedgeSampleRejectsMismatchedWedgeIndex) {
+  const Hypergraph g = testing::RandomHypergraph(20, 30, 1, 5, 1);
+  const Hypergraph other = testing::RandomHypergraph(20, 12, 1, 5, 2);
+  const ProjectedDegrees degrees = ComputeProjectedDegrees(g);
+  auto memo = ConcurrentLazyProjection::Create(g, degrees, {});
+  ASSERT_TRUE(memo.ok());
+  MochyAPlusOptions sampling;
+  sampling.num_samples = 10;
+  auto counts = CountMotifsWedgeSampleLazy(
+      g, ComputeProjectedDegrees(other), *memo.value(), sampling);
+  ASSERT_FALSE(counts.ok());
+  EXPECT_EQ(counts.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(LazyProjectionTest, LargeBudgetComputesEachOnce) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "hypergraph/builder.h"
+#include "motif/engine.h"
 #include "motif/mochy_a.h"
 #include "motif/mochy_aplus.h"
 #include "motif/mochy_e.h"
@@ -168,14 +169,28 @@ TEST_P(OnTheFlyEquivalence, MatchesEagerForAnyBudgetAndPolicy) {
   const MotifCounts eager =
       CountMotifsWedgeSample(f.graph, f.projection, options);
 
+  // The engine's lazy policy at this budget (0 = unbounded there)...
+  EngineOptions engine_options;
+  engine_options.algorithm = Algorithm::kLinkSample;
+  engine_options.projection = ProjectionPolicy::kLazy;
+  engine_options.memory_budget = budget;
+  engine_options.num_samples = options.num_samples;
+  engine_options.seed = options.seed;
+  const MotifEngine engine =
+      MotifEngine::Create(f.graph, engine_options).value();
+  const MotifCounts fly = engine.Count(engine_options).value().counts;
+  // ...and its lazy kernel on a single memo shard under this policy.
   const ProjectedDegrees degrees = ComputeProjectedDegrees(f.graph);
   LazyProjectionOptions lazy;
   lazy.memory_budget_bytes = budget;
   lazy.policy = policy;
-  const MotifCounts fly =
-      CountMotifsWedgeSampleOnTheFly(f.graph, degrees, options, lazy).value();
+  auto memo =
+      ConcurrentLazyProjection::Create(f.graph, degrees, lazy, 1).value();
+  const MotifCounts policy_fly =
+      CountMotifsWedgeSampleLazy(f.graph, degrees, *memo, options).value();
   for (int t = 1; t <= kNumHMotifs; ++t) {
     EXPECT_DOUBLE_EQ(eager[t], fly[t]) << "motif " << t;
+    EXPECT_DOUBLE_EQ(eager[t], policy_fly[t]) << "motif " << t;
   }
 }
 
@@ -189,28 +204,32 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(OnTheFlyTest, MemoizationReducesComputations) {
   const Fixture f = MakeFixture(10);
-  const ProjectedDegrees degrees = ComputeProjectedDegrees(f.graph);
-  MochyAPlusOptions options;
+  EngineOptions options;
+  options.algorithm = Algorithm::kLinkSample;
+  options.projection = ProjectionPolicy::kLazy;
   options.num_samples = 200;
   options.seed = 77;
+  options.num_threads = 1;
 
-  LazyProjectionOptions no_memo;
-  no_memo.memory_budget_bytes = 0;
-  LazyProjection::Stats stats_none;
-  ASSERT_TRUE(CountMotifsWedgeSampleOnTheFly(f.graph, degrees, options,
-                                             no_memo, &stats_none)
-                  .ok());
+  EngineOptions no_memo = options;
+  no_memo.memory_budget = 1;  // below one memo entry: nothing is kept
+  const EngineStats stats_none = MotifEngine::Create(f.graph, no_memo)
+                                     .value()
+                                     .Count(no_memo)
+                                     .value()
+                                     .stats;
 
-  LazyProjectionOptions big_memo;
-  big_memo.memory_budget_bytes = 16 << 20;
-  LazyProjection::Stats stats_big;
-  ASSERT_TRUE(CountMotifsWedgeSampleOnTheFly(f.graph, degrees, options,
-                                             big_memo, &stats_big)
-                  .ok());
+  EngineOptions big_memo = options;
+  big_memo.memory_budget = 16 << 20;
+  const EngineStats stats_big = MotifEngine::Create(f.graph, big_memo)
+                                    .value()
+                                    .Count(big_memo)
+                                    .value()
+                                    .stats;
 
-  EXPECT_EQ(stats_none.memo_hits, 0u);
-  EXPECT_GT(stats_big.memo_hits, 0u);
-  EXPECT_LT(stats_big.computations, stats_none.computations);
+  EXPECT_EQ(stats_none.lazy_memo_hits, 0u);
+  EXPECT_GT(stats_big.lazy_memo_hits, 0u);
+  EXPECT_LT(stats_big.lazy_recomputes, stats_none.lazy_recomputes);
 }
 
 }  // namespace
