@@ -107,7 +107,8 @@ struct ScratchArena {
   /// w(e_x, ·) scatter target (MoCHy-E pair loop, sampler stamp arrays).
   StampedWeights edge_weight;
   /// Second edge-indexed array for kernels that stamp two neighborhoods
-  /// at once (the samplers' N(e_i) membership + weights).
+  /// at once (the samplers' N(e_i) membership + weights), or a pair's
+  /// triple intersections next to w(e_i, ·) (MoCHy-E's closed triples).
   StampedWeights edge_weight2;
   /// Node membership of the current hub / sampled hyperedge e_i.
   StampedSet node_hub;

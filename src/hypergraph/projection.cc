@@ -127,10 +127,8 @@ std::pair<EdgeId, EdgeId> ProjectedGraph::WedgeAt(uint64_t k) const {
   const auto it = std::upper_bound(wedge_offsets_.begin(),
                                    wedge_offsets_.end(), k);
   const size_t e = static_cast<size_t>(it - wedge_offsets_.begin()) - 1;
-  const uint64_t within = k - wedge_offsets_[e];
-  const auto span = neighbors(static_cast<EdgeId>(e));
-  const Neighbor& n = span[suffix_start_[e] + within];
-  return {static_cast<EdgeId>(e), n.edge};
+  const EdgeId ei = static_cast<EdgeId>(e);
+  return {ei, upper_neighbors(ei)[k - wedge_offsets_[e]].edge};
 }
 
 ProjectedDegrees ComputeProjectedDegrees(const Hypergraph& graph,

@@ -87,6 +87,12 @@ class ProjectedGraph {
     return {adj_.data() + offsets_[e], adj_.data() + offsets_[e + 1]};
   }
 
+  /// N⁺(e): the neighbors of `e` with id > e, the suffix of neighbors(e)
+  /// that lists each hyperwedge once, from its smaller end.
+  std::span<const Neighbor> upper_neighbors(EdgeId e) const {
+    return neighbors(e).subspan(suffix_start_[e]);
+  }
+
   /// |N_e| — degree of `e` in the projected graph.
   size_t degree(EdgeId e) const { return offsets_[e + 1] - offsets_[e]; }
 

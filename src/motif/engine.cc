@@ -21,7 +21,8 @@ namespace {
 
 // kAuto switches from MoCHy-E to MoCHy-A+ once the exact work estimate
 // Σ_e |N_e|² (Theorem 1, dominating term) exceeds this many region
-// evaluations — roughly a second of single-threaded counting.
+// evaluations. MoCHy-E no longer runs that pair loop, so the estimate is
+// now high; it is kept so that kAuto's choices do not change.
 constexpr uint64_t kAutoExactCostLimit = 50'000'000;
 
 uint64_t ResolveSamples(const EngineOptions& options, uint64_t population) {
@@ -474,19 +475,51 @@ Result<PerEdgeResult> MotifEngine::CountPerEdge(
 
   Timer timer;
   const size_t num_edges = graph_->num_edges();
-  // Each instance credits its three member edges. The increments are
-  // integers (exactly representable in doubles), so the merge below is
-  // bit-identical in any order and at any thread count.
+  // Each instance credits its three member edges, through the same two
+  // parts as CountMotifsExact: at hub e_i, row i takes every pair of N(e_i)
+  // by its as-if-open class and each neighbor e_j the classes of its own
+  // pairs (one vector per key); each closed triple then adds its class
+  // minus its three as-if-open classes to its three rows. Every increment
+  // and partial sum is an integer below 2^53, exact in a double, so the
+  // merge below is bit-identical in any order and at any thread count —
+  // and the worker rows can be PerEdgeCounts, the result type, themselves.
+  using OpenRow = std::array<double, kNumOpenMotifs>;  // ids 17-22
   std::vector<PerEdgeCounts> partial(
       num_threads, PerEdgeCounts(num_edges, std::array<double, kNumHMotifs>{}));
-  internal::ForEachInstanceParallel(
+  std::vector<std::vector<OpenRow>> key_rows(num_threads);
+  internal::ForEachHubClassParallel(
       *graph_, projection_, num_threads,
-      [&partial](size_t worker, EdgeId ei, EdgeId ej, EdgeId ek, int id) {
-        if (id == 0) return;
+      [&](size_t worker, EdgeId ei, const internal::OpenPairBuckets& buckets) {
         PerEdgeCounts& rows = partial[worker];
-        rows[ei][id - 1] += 1.0;
-        rows[ej][id - 1] += 1.0;
-        rows[ek][id - 1] += 1.0;
+        std::vector<OpenRow>& by_key = key_rows[worker];
+        by_key.assign(buckets.num_keys(), OpenRow{});
+        buckets.ForEachKeyPair([&](size_t a, size_t b, uint64_t pairs, int id) {
+          if (id == 0) return;
+          MOCHY_DCHECK(IsOpenMotif(id));
+          rows[ei][id - 1] += static_cast<double>(pairs);
+          const int slot = id - kFirstOpenMotif;
+          by_key[a][slot] += static_cast<double>(buckets.count(b) - (a == b));
+          if (a != b) by_key[b][slot] += static_cast<double>(buckets.count(a));
+        });
+        const auto nbrs = projection_.neighbors(ei);
+        for (size_t p = 0; p < nbrs.size(); ++p) {
+          const OpenRow& add = by_key[buckets.key_index(p)];
+          auto& row = rows[nbrs[p].edge];
+          for (int slot = 0; slot < kNumOpenMotifs; ++slot) {
+            row[kFirstOpenMotif - 1 + slot] += add[slot];
+          }
+        }
+      },
+      [&partial](size_t worker, EdgeId ei, EdgeId ej, EdgeId ek, int id,
+                 int open_i, int open_j, int open_k) {
+        PerEdgeCounts& rows = partial[worker];
+        for (EdgeId e : {ei, ej, ek}) {
+          auto& row = rows[e];
+          if (id != 0) row[id - 1] += 1.0;
+          for (int open : {open_i, open_j, open_k}) {
+            if (open != 0) row[open - 1] -= 1.0;
+          }
+        }
       });
   result.rows = std::move(partial[0]);
   for (size_t t = 1; t < num_threads; ++t) {

@@ -1,5 +1,7 @@
 #include "motif/mochy_e.h"
 
+#include <array>
+#include <cstdint>
 #include <vector>
 
 #include "common/logging.h"
@@ -15,18 +17,37 @@ MotifCounts CountMotifsExact(const Hypergraph& graph,
       << "projection does not match hypergraph";
   if (num_threads == 0) num_threads = DefaultThreadCount();
 
-  std::vector<MotifCounts> partial(num_threads);
-  internal::ForEachInstanceParallel(
+  // One integer census per worker, indexed by motif id; slot 0 collects
+  // id 0 (duplicated hyperedges, paper Figure 4, or an as-if-open class
+  // that names no h-motif) and is dropped. Padded against false sharing.
+  struct alignas(64) Census {
+    std::array<int64_t, kNumHMotifs + 1> n{};
+  };
+  std::vector<Census> partial(num_threads);
+  internal::ForEachHubClassParallel(
       graph, projection, num_threads,
-      [&partial](size_t worker, EdgeId, EdgeId, EdgeId, int id) {
-        // id 0: a triple with duplicated hyperedges, which corresponds to
-        // no h-motif (paper Figure 4). Null models that keep duplicate
-        // hyperedges produce them.
-        if (id != 0) partial[worker][id] += 1.0;
+      [&partial](size_t worker, EdgeId,
+                 const internal::OpenPairBuckets& buckets) {
+        auto& n = partial[worker].n;
+        buckets.ForEachKeyPair([&n](size_t, size_t, uint64_t pairs, int id) {
+          n[id] += static_cast<int64_t>(pairs);
+        });
+      },
+      [&partial](size_t worker, EdgeId, EdgeId, EdgeId, int id, int open_i,
+                 int open_j, int open_k) {
+        auto& n = partial[worker].n;
+        n[id] += 1;
+        n[open_i] -= 1;
+        n[open_j] -= 1;
+        n[open_k] -= 1;
       });
 
   MotifCounts total;
-  for (const MotifCounts& part : partial) total += part;
+  for (int id = 1; id <= kNumHMotifs; ++id) {
+    int64_t sum = 0;
+    for (const Census& part : partial) sum += part.n[id];
+    total[id] = static_cast<double>(sum);
+  }
   return total;
 }
 

@@ -1,18 +1,26 @@
 // MoCHy-E: exact h-motif counting (paper Algorithm 2).
 //
-// For every hyperedge e_i and every unordered pair {e_j, e_k} of its
-// projected-graph neighbors, the triple {e_i, e_j, e_k} is an h-motif
-// instance. Open instances (e_j ∩ e_k = ∅) are visited exactly once (at
-// their unique "hub"); closed instances are visited three times, so they
-// are counted only when i < min(j, k). Complexity
-// O(Σ_e |e| · |N_e|²) (Theorem 1).
+// Algorithm 2 visits every unordered pair {e_j, e_k} of projected-graph
+// neighbors of every hyperedge e_i: open instances (e_j ∩ e_k = ∅) once,
+// at their unique "hub", closed ones at each of their three hubs, so
+// O(Σ_e |e| · |N_e|²) (Theorem 1). This counter reaches the same census
+// without the pair loop (motif/stamp_kernels.h, ForEachHubClassParallel):
 //
-// The hot loop runs on epoch-stamped scratch arrays (motif/stamp_kernels.h,
-// docs/ARCHITECTURE.md "Counting kernels"): per-pair weights come from a
-// dense scatter of N(e_j) instead of hash probes, triple intersections from
-// stamped node marks, and hubs are claimed in Σd²-balanced chunks. The
-// pre-stamp implementation is retained in motif/reference.h as the
-// differential-test oracle and bench baseline.
+//  - open pairs, by class: at hub e_i, a pair's class were it open reads
+//    only the keys (ω_ij, [|e_j| > ω_ij]) and (ω_ik, [|e_k| > ω_ik]), so
+//    N(e_i) is bucketed by key and every key pair adds (number of pairs)
+//    × that class — O(|N_i| + keys²) per hub, keys ≤ min(|N_i|, 2|e_i|);
+//  - closed triples, once each: as i < j < k, e_j from N⁺(e_i), e_k from
+//    N⁺(e_j) tested against a stamped N⁺(e_i); each adds its real class
+//    and takes back the as-if-open class it received at each of its
+//    three hubs. Triple intersections are counted node-major, once per
+//    pair {e_i, e_j}.
+//
+// Cost O(Σ_e |N_e| + Σ_e Σ_{f∈N⁺(e)} |N⁺(f)| + closed · max|e|), the last
+// term (up to a log d factor) the triple intersections. Counts are
+// per-worker integers, so the result is identical at any thread count and
+// to the pre-stamp pair-loop implementation retained in
+// motif/reference.h as the differential-test oracle and bench baseline.
 #ifndef MOCHY_MOTIF_MOCHY_E_H_
 #define MOCHY_MOTIF_MOCHY_E_H_
 

@@ -215,33 +215,35 @@ PatternBits MotifPattern(int id) {
   return GetTable().representative[id - 1];
 }
 
-bool IsOpenMotif(int id) { return id >= 17 && id <= 22; }
+bool IsOpenMotif(int id) {
+  return id >= kFirstOpenMotif && id < kFirstOpenMotif + kNumOpenMotifs;
+}
 
 int ClassifyMotifOrZero(uint64_t size_a, uint64_t size_b, uint64_t size_c,
                         uint64_t w_ab, uint64_t w_bc, uint64_t w_ca,
                         uint64_t w_abc) {
-  // Region cardinalities via inclusion-exclusion (Lemma 2). Guard against
-  // inconsistent inputs (would underflow the unsigned subtraction).
-  if (w_abc > w_ab || w_abc > w_bc || w_abc > w_ca) return 0;
-  if (size_a + w_abc < w_ab + w_ca || size_b + w_abc < w_ab + w_bc ||
-      size_c + w_abc < w_ca + w_bc) {
-    return 0;
+  // Lemma 2's inclusion-exclusion; inconsistent inputs map to 128, id 0.
+  return MotifIdFromPattern(static_cast<PatternBits>(
+      internal::RegionPattern(size_a, size_b, size_c, w_ab, w_bc, w_ca, w_abc)));
+}
+
+MotifClassifier::MotifClassifier() {
+  for (int bits = 0; bits < 128; ++bits) {
+    id_of_[bits] =
+        static_cast<uint8_t>(MotifIdFromPattern(static_cast<PatternBits>(bits)));
   }
-  const uint64_t d_a = size_a - w_ab - w_ca + w_abc;
-  const uint64_t d_b = size_b - w_ab - w_bc + w_abc;
-  const uint64_t d_c = size_c - w_ca - w_bc + w_abc;
-  const uint64_t p_ab = w_ab - w_abc;
-  const uint64_t p_bc = w_bc - w_abc;
-  const uint64_t p_ca = w_ca - w_abc;
-  PatternBits bits = 0;
-  if (d_a > 0) bits |= kPatternDa;
-  if (d_b > 0) bits |= kPatternDb;
-  if (d_c > 0) bits |= kPatternDc;
-  if (p_ab > 0) bits |= kPatternPab;
-  if (p_bc > 0) bits |= kPatternPbc;
-  if (p_ca > 0) bits |= kPatternPca;
-  if (w_abc > 0) bits |= kPatternT;
-  return MotifIdFromPattern(bits);
+  id_of_[128] = 0;
+  // One representative per table entry: w_a = w_b = 1, |hub| = 3, 2 or 1
+  // for a non-empty, empty or "negative" hub remainder, |a| = 1 + private.
+  for (unsigned hub = 0; hub < 3; ++hub) {
+    for (unsigned a = 0; a < 2; ++a) {
+      for (unsigned b = 0; b < 2; ++b) {
+        const uint64_t size_hub = hub == 0 ? 2 : hub == 1 ? 3 : 1;
+        open_id_[hub * 4 + a * 2 + b] =
+            static_cast<uint8_t>((*this)(size_hub, 1 + a, 1 + b, 1, 0, 1, 0));
+      }
+    }
+  }
 }
 
 int ClassifyMotif(uint64_t size_a, uint64_t size_b, uint64_t size_c,

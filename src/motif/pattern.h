@@ -16,6 +16,7 @@
 #ifndef MOCHY_MOTIF_PATTERN_H_
 #define MOCHY_MOTIF_PATTERN_H_
 
+#include <array>
 #include <cstdint>
 #include <string>
 
@@ -56,6 +57,8 @@ int MotifIdFromPattern(PatternBits bits);
 PatternBits MotifPattern(int id);
 
 /// Open motifs have two non-adjacent hyperedges; ids 17..22.
+inline constexpr int kFirstOpenMotif = 17;
+inline constexpr int kNumOpenMotifs = 6;
 bool IsOpenMotif(int id);
 inline bool IsClosedMotif(int id) { return !IsOpenMotif(id); }
 
@@ -74,6 +77,64 @@ int ClassifyMotif(uint64_t size_a, uint64_t size_b, uint64_t size_c,
 int ClassifyMotifOrZero(uint64_t size_a, uint64_t size_b, uint64_t size_c,
                         uint64_t w_ab, uint64_t w_bc, uint64_t w_ca,
                         uint64_t w_abc);
+
+namespace internal {
+
+/// Pattern code of an instance with these cardinalities (Lemma 2): its
+/// 7-bit PatternBits, or 128 when they are inconsistent and would
+/// underflow the inclusion-exclusion. Inline, for hot loops.
+inline unsigned RegionPattern(uint64_t size_a, uint64_t size_b,
+                              uint64_t size_c, uint64_t w_ab, uint64_t w_bc,
+                              uint64_t w_ca, uint64_t w_abc) {
+  if (w_abc > w_ab || w_abc > w_bc || w_abc > w_ca) return 128;
+  if (size_a + w_abc < w_ab + w_ca || size_b + w_abc < w_ab + w_bc ||
+      size_c + w_abc < w_ca + w_bc) {
+    return 128;
+  }
+  unsigned bits = 0;
+  if (size_a + w_abc > w_ab + w_ca) bits |= kPatternDa;
+  if (size_b + w_abc > w_ab + w_bc) bits |= kPatternDb;
+  if (size_c + w_abc > w_ca + w_bc) bits |= kPatternDc;
+  if (w_ab > w_abc) bits |= kPatternPab;
+  if (w_bc > w_abc) bits |= kPatternPbc;
+  if (w_ca > w_abc) bits |= kPatternPca;
+  if (w_abc > 0) bits |= kPatternT;
+  return bits;
+}
+
+}  // namespace internal
+
+/// ClassifyMotifOrZero inlined for hot loops: a private copy of the
+/// pattern -> id table, so a classification costs no call and no
+/// function-static guard. Cheap to construct; build one per kernel run.
+class MotifClassifier {
+ public:
+  MotifClassifier();
+
+  int operator()(uint64_t size_a, uint64_t size_b, uint64_t size_c,
+                 uint64_t w_ab, uint64_t w_bc, uint64_t w_ca,
+                 uint64_t w_abc) const {
+    return id_of_[internal::RegionPattern(size_a, size_b, size_c, w_ab, w_bc,
+                                          w_ca, w_abc)];
+  }
+
+  /// The class of {hub, a, b} were a and b disjoint: operator()(size_hub,
+  /// size_a, size_b, w_a, 0, w_b, 0) for w_a = ω(hub, a) ≥ 1 and w_b =
+  /// ω(hub, b) ≥ 1. Only three facts vary — hub \ (a ∪ b) empty, non-empty
+  /// or "negative" (w_a + w_b > |hub|: id 0), and whether a and b have
+  /// private nodes — so it is one lookup in a 12-entry table.
+  int OpenClass(uint64_t size_hub, uint64_t size_a, uint64_t size_b,
+                uint64_t w_a, uint64_t w_b) const {
+    const uint64_t covered = w_a + w_b;
+    const unsigned hub = covered < size_hub ? 1u : covered == size_hub ? 0u : 2u;
+    return open_id_[hub * 4 + (size_a > w_a ? 2u : 0u) +
+                    (size_b > w_b ? 1u : 0u)];
+  }
+
+ private:
+  std::array<uint8_t, 129> id_of_;  // [128]: inconsistent input, id 0
+  std::array<uint8_t, 12> open_id_;
+};
 
 /// Human-readable pattern of a motif id, e.g. "d=110 p=100 t=1".
 std::string MotifToString(int id);

@@ -3,19 +3,26 @@
 // MoCHy-E, MoCHy-A and MoCHy-A+ (paper Algorithms 2, 4 and 5) share one
 // step: classify the triple {e_i, e_j, e_k} from |e|, the pairwise ω and
 // the triple intersection (Lemma 2). Every counting path in src/motif runs
-// that step through one of three primitives:
+// that step through one of four primitives:
 //
+//  - ForEachHubClassParallel — counts without visiting open instances:
+//    open pairs by class per hub (OpenPairBuckets), plus every closed
+//    triple once with its class corrections (ForEachClosedTriple), in
+//    O(Σ_e |N_e| + Σ_e Σ_{f∈N⁺(e)} |N⁺(f)| + closed · max|e|), the last
+//    term (up to a log d factor) the triple intersections: MoCHy-E and
+//    the per-edge rows (MotifEngine::CountPerEdge).
 //  - ForEachHubTriple — instances hubbed at e_i, so that a sweep over all
-//    hubs visits every instance exactly once: MoCHy-E, the per-edge rows
-//    (MotifEngine::CountPerEdge), instance enumeration and the variance
-//    terms, all through ForEachInstanceParallel.
+//    hubs visits every instance exactly once, O(Σ_e |N_e|²) pairs: the
+//    paths that need each instance, instance enumeration and the
+//    variance terms, through ForEachInstanceParallel.
 //  - ForEachTripleContaining (+ ...Range) — instances containing edge e,
 //    over a range of N(e): MoCHy-A's per-sample pass, the streaming
 //    arrival/removal delta, and the Table-4 HM26 candidate rows.
 //  - ForEachWedgeTriple — instances containing the wedge {e_i, e_j}:
 //    MoCHy-A+ (materialized and lazy) and the weighted sampler MoCHy-A+W.
 //
-// Each primitive is a template over a neighbor source and a sink. A
+// Each of the last three is a template over a neighbor source and a sink
+// (ForEachHubClassParallel runs on the materialized projection only). A
 // source provides
 //     edge_size(e) -> |e|
 //     edge(e)      -> e's member nodes
@@ -30,7 +37,10 @@
 // (duplicated hyperedges, paper Figure 4), so callers that keep candidate
 // statistics see them all.
 //
-// Three dense-scratch tricks keep the step cheap:
+// Three dense-scratch tricks keep the step cheap (ForEachClosedTriple
+// stamps w(e_i, ·) over N⁺(e_i), counts all triple intersections of a
+// pair {e_i, e_j} in one node-major sweep, StampTripleIntersections, and
+// classifies through the inlined MotifClassifier):
 //
 //  - hoisted edge sizes: |e| for all hyperedges in one contiguous
 //    uint32_t array, so the innermost loop reads 4 bytes instead of
@@ -65,7 +75,8 @@
 namespace mochy::internal {
 
 /// Per-hub work estimate |N_e|² (Theorem 1's dominating term), the cost
-/// vector the hub loops hand to ParallelWorkChunks.
+/// vector the pair loop (ForEachInstanceParallel) hands to
+/// ParallelWorkChunks.
 inline std::vector<uint64_t> HubWorkEstimate(const ProjectedGraph& projection) {
   const size_t m = projection.num_edges();
   std::vector<uint64_t> cost(m);
@@ -386,6 +397,209 @@ inline auto RawCounter(MotifCounts& raw) {
   return [&raw](EdgeId, EdgeId, int id) {
     if (id != 0) raw[id] += 1.0;
   };
+}
+
+/// Per-hub work of ForEachHubClassParallel: |N_i| to bucket N(e_i) plus
+/// Σ_{j∈N⁺(i)} |N⁺(j)| closed-triple candidates. O(|∧|).
+inline std::vector<uint64_t> HubClassWorkEstimate(
+    const ProjectedGraph& projection) {
+  const size_t m = projection.num_edges();
+  std::vector<uint64_t> cost(m);
+  for (size_t i = 0; i < m; ++i) {
+    const EdgeId ei = static_cast<EdgeId>(i);
+    uint64_t work = projection.degree(ei);
+    for (const Neighbor& n : projection.upper_neighbors(ei)) {
+      work += projection.upper_neighbors(n.edge).size();
+    }
+    cost[i] = work;
+  }
+  return cost;
+}
+
+/// N(e_i) bucketed by key (ω_ij, [|e_j| > ω_ij]). Were e_j and e_k
+/// disjoint, {e_i, e_j, e_k} would be the open instance hubbed at e_i of
+/// class ClassifyMotifOrZero(|e_i|, |e_j|, |e_k|, ω_ij, 0, ω_ik, 0) — its
+/// "as-if-open" class. That class reads |e_j| only through the emptiness
+/// of e_j \ e_i, so it is a function of the two keys, and all pairs of
+/// N(e_i) count by key pair: O(|N_i| + keys²) per hub instead of the
+/// O(|N_i|²) pair loop. One per worker; reusable across hubs.
+class OpenPairBuckets {
+ public:
+  /// Sized for hyperedges of at most `max_edge_size` nodes (ω ≤ that).
+  explicit OpenPairBuckets(uint64_t max_edge_size)
+      : index_of_(2 * max_edge_size + 2, kNone) {}
+
+  /// Buckets `nbrs` = N(e_i) for a hub of `size_i` nodes; `size_of` holds
+  /// |e| per hyperedge.
+  void Fill(uint64_t size_i, std::span<const Neighbor> nbrs,
+            const uint32_t* size_of) {
+    for (uint32_t key : keys_) index_of_[key] = kNone;
+    keys_.clear();
+    counts_.clear();
+    key_index_.resize(nbrs.size());
+    size_i_ = size_i;
+    for (size_t p = 0; p < nbrs.size(); ++p) {
+      const uint32_t w = nbrs[p].weight;
+      const uint32_t key = 2 * w + (size_of[nbrs[p].edge] > w ? 1 : 0);
+      uint32_t& index = index_of_[key];
+      if (index == kNone) {
+        index = static_cast<uint32_t>(keys_.size());
+        keys_.push_back(key);
+        counts_.push_back(0);
+      }
+      ++counts_[index];
+      key_index_[p] = index;
+    }
+  }
+
+  size_t num_keys() const { return keys_.size(); }
+  /// Number of neighbors with key index `a`.
+  uint64_t count(size_t a) const { return counts_[a]; }
+  /// Key index of nbrs[position].
+  uint32_t key_index(size_t position) const { return key_index_[position]; }
+
+  /// Calls fn(a, b, pairs, id) for every key-index pair a <= b: `pairs`
+  /// unordered pairs of N(e_i) have those keys, and `id` is their
+  /// as-if-open class (0: no h-motif, or ω_ij + ω_ik > |e_i|, which only
+  /// a closed triple reaches).
+  template <typename Fn>
+  void ForEachKeyPair(Fn&& fn) const {
+    for (size_t a = 0; a < keys_.size(); ++a) {
+      // ω + the private bit stands in for |e|: the same emptiness bits.
+      const uint64_t w_a = keys_[a] >> 1;
+      const uint64_t size_a = w_a + (keys_[a] & 1);
+      for (size_t b = a; b < keys_.size(); ++b) {
+        const uint64_t w_b = keys_[b] >> 1;
+        const uint64_t pairs =
+            a == b ? counts_[a] * (counts_[a] - 1) / 2 : counts_[a] * counts_[b];
+        if (pairs == 0) continue;
+        fn(a, b, pairs,
+           classify_.OpenClass(size_i_, size_a, w_b + (keys_[b] & 1), w_a, w_b));
+      }
+    }
+  }
+
+ private:
+  static constexpr uint32_t kNone = ~uint32_t{0};
+
+  std::vector<uint32_t> index_of_;   // key -> key index, kNone if unused
+  std::vector<uint32_t> keys_;       // key index -> key
+  std::vector<uint64_t> counts_;     // key index -> #neighbors
+  std::vector<uint32_t> key_index_;  // position in N(e_i) -> key index
+  uint64_t size_i_ = 0;
+  MotifClassifier classify_;
+};
+
+/// |e_i ∩ e_j ∩ e_k| for every e_k > e_j at once, into arena.edge_weight2
+/// (fresh epoch; unset means 0): for each v ∈ e_i ∩ e_j, one increment per
+/// hyperedge of E_v above e_j. That is |e_j| membership tests, ω_ij binary
+/// searches and Σ_k |e_i ∩ e_j ∩ e_k| increments, instead of a scan of
+/// each e_k. node_hub must hold e_i (StampHubNodes).
+inline void StampTripleIntersections(const ProjectionSource& source,
+                                     EdgeId ej, ScratchArena& arena) {
+  StampedWeights& w_ijk = arena.edge_weight2;
+  w_ijk.NewEpoch();
+  for (NodeId v : source.edge(ej)) {
+    if (!arena.node_hub.Test(v)) continue;
+    const auto edges = source.graph.edges_of(v);  // sorted ascending
+    for (auto it = std::upper_bound(edges.begin(), edges.end(), ej);
+         it != edges.end(); ++it) {
+      w_ijk.Set(*it, w_ijk.Get(*it) + 1);
+    }
+  }
+}
+
+/// Every closed triple whose smallest member is e_i, once, as i < j < k:
+/// e_j from N⁺(e_i), e_k from N⁺(e_j), kept when a stamped w(e_i, ·) over
+/// N⁺(e_i) holds it. Calls sink(e_j, e_k, id, open_i, open_j, open_k)
+/// with the triple's class and its as-if-open class (OpenPairBuckets) at
+/// each of its three hubs. Uses both edge-indexed arrays and node_hub.
+template <typename Sink>
+void ForEachClosedTriple(const ProjectionSource& source, EdgeId ei,
+                         const MotifClassifier& classify, ScratchArena& arena,
+                         Sink&& sink) {
+  const ProjectedGraph& projection = source.projection;
+  const auto upper_i = projection.upper_neighbors(ei);
+  if (upper_i.size() < 2) return;
+  StampedWeights& w_i = arena.edge_weight;  // w(e_i, ·) over N⁺(e_i)
+  w_i.NewEpoch();
+  for (const Neighbor& n : upper_i) w_i.Set(n.edge, n.weight);
+  const StampedWeights& w_ijk_of = arena.edge_weight2;
+  const uint64_t size_i = source.edge_size(ei);
+  // e_i's nodes and the triple intersections of {e_i, e_j} are stamped
+  // lazily: only hubs and pairs that reach a closed triple pay for them.
+  bool hub_ready = false;
+
+  for (const Neighbor& nj : upper_i) {
+    const EdgeId ej = nj.edge;
+    const uint64_t w_ij = nj.weight;
+    const uint64_t size_j = source.edge_size(ej);
+    bool pair_ready = false;
+    for (const Neighbor& nk : projection.upper_neighbors(ej)) {
+      const uint64_t w_ik = w_i.Get(nk.edge);
+      if (w_ik == 0) continue;
+      if (!pair_ready) {
+        if (!hub_ready) {
+          StampHubNodes(source, ei, arena);
+          hub_ready = true;
+        }
+        StampTripleIntersections(source, ej, arena);
+        pair_ready = true;
+      }
+      const EdgeId ek = nk.edge;
+      const uint64_t w_jk = nk.weight;
+      const uint64_t size_k = source.edge_size(ek);
+      const uint64_t w_ijk = w_ijk_of.Get(ek);
+      sink(ej, ek,
+           classify(size_i, size_j, size_k, w_ij, w_jk, w_ik, w_ijk),
+           classify.OpenClass(size_i, size_j, size_k, w_ij, w_ik),
+           classify.OpenClass(size_j, size_i, size_k, w_ij, w_jk),
+           classify.OpenClass(size_k, size_i, size_j, w_ik, w_jk));
+    }
+  }
+}
+
+/// The counting primitive (MoCHy-E without the pair loop). Σ over hubs of
+/// the as-if-open classes of all pairs of N(e_i), plus, for each closed
+/// triple, its class minus its three as-if-open classes, is exactly the
+/// instance census: an open instance is one pair at its unique hub, and a
+/// closed one a pair at each of its three. On `num_threads` workers (0 =
+/// DefaultThreadCount()), hubs claimed in HubClassWorkEstimate-balanced
+/// chunks, each hub e_i calls
+///     open(worker, e_i, buckets)   — buckets: N(e_i) filled, see
+///                                    OpenPairBuckets::ForEachKeyPair
+///     closed(worker, e_i, e_j, e_k, id, open_i, open_j, open_k)
+///                                  — per ForEachClosedTriple.
+/// Sinks that add integers give the same totals at any thread count.
+template <typename OpenSink, typename ClosedSink>
+void ForEachHubClassParallel(const Hypergraph& graph,
+                             const ProjectedGraph& projection,
+                             size_t num_threads, OpenSink&& open,
+                             ClosedSink&& closed) {
+  const std::vector<uint64_t> cost = HubClassWorkEstimate(projection);
+  const ProjectionSource source(graph, projection);
+  const MotifClassifier classify;
+  uint64_t max_edge_size = 0;
+  for (uint32_t size : source.size_of) {
+    max_edge_size = std::max<uint64_t>(max_edge_size, size);
+  }
+  ParallelWorkChunks(cost, num_threads == 0 ? DefaultThreadCount() : num_threads,
+                     [&](size_t worker, size_t begin, size_t end) {
+    ScratchArena& arena = ArenaFor(graph);
+    OpenPairBuckets buckets(max_edge_size);
+    for (size_t i = begin; i < end; ++i) {
+      const EdgeId ei = static_cast<EdgeId>(i);
+      buckets.Fill(source.edge_size(ei), projection.neighbors(ei),
+                   source.size_of.data());
+      open(worker, ei, std::as_const(buckets));
+      ForEachClosedTriple(source, ei, classify, arena,
+                          [&](EdgeId ej, EdgeId ek, int id, int open_i,
+                              int open_j, int open_k) {
+                            closed(worker, ei, ej, ek, id, open_i, open_j,
+                                   open_k);
+                          });
+    }
+  });
 }
 
 /// Runs ForEachHubTriple over every hub of the materialized projection on

@@ -9,7 +9,9 @@
 // models do) and the paper's Figure-2 running example.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/parallel.h"
@@ -224,38 +226,117 @@ TEST(KernelDiffTest, WeightedMatchesReference) {
   }
 }
 
+/// Every instance credited to its three member rows, by plain set algebra
+/// over all O(|E|^3) triples.
+PerEdgeCounts BruteForceRows(const Hypergraph& graph) {
+  const size_t m = graph.num_edges();
+  std::vector<std::set<NodeId>> sets(m);
+  for (EdgeId e = 0; e < m; ++e) {
+    sets[e] = std::set<NodeId>(graph.edge(e).begin(), graph.edge(e).end());
+  }
+  PerEdgeCounts rows(m, std::array<double, kNumHMotifs>{});
+  for (size_t i = 0; i < m; ++i) {
+    for (size_t j = i + 1; j < m; ++j) {
+      for (size_t k = j + 1; k < m; ++k) {
+        const int id = testing::BruteForceClassify(sets[i], sets[j], sets[k]);
+        if (id == 0) continue;
+        for (size_t e : {i, j, k}) rows[e][id - 1] += 1.0;
+      }
+    }
+  }
+  return rows;
+}
+
+/// Engine per-edge rows at 1, 2 and 4 threads against BruteForceRows.
+void ExpectPerEdgeRowsMatchBruteForce(const Hypergraph& graph) {
+  const size_t m = graph.num_edges();
+  const PerEdgeCounts want = BruteForceRows(graph);
+  const MotifEngine engine = MotifEngine::Create(graph).value();
+  for (size_t threads : {1u, 2u, 4u}) {
+    EngineOptions options;
+    options.num_threads = threads;
+    const PerEdgeCounts got = engine.CountPerEdge(options).value().rows;
+    ASSERT_EQ(got.size(), m);
+    for (EdgeId e = 0; e < m; ++e) {
+      for (int t = 0; t < kNumHMotifs; ++t) {
+        EXPECT_EQ(got[e][t], want[e][t])
+            << "m=" << m << " threads=" << threads << " edge " << e
+            << " motif " << t + 1;
+      }
+    }
+  }
+}
+
 TEST(KernelDiffTest, PerEdgeRowsMatchBruteForceWithDuplicates) {
   for (const Hypergraph& graph : DuplicateSweep()) {
-    const size_t m = graph.num_edges();
-    std::vector<std::set<NodeId>> sets(m);
-    for (EdgeId e = 0; e < m; ++e) {
-      sets[e] = std::set<NodeId>(graph.edge(e).begin(), graph.edge(e).end());
+    ExpectPerEdgeRowsMatchBruteForce(graph);
+  }
+}
+
+/// Hyperedges drawn as subsets of a few large random parents (the first
+/// of `parent_sizes` nodes each), duplicates retained: many neighbors
+/// with no private nodes (ω_ij = |e_j|) and many pairs whose overlaps
+/// with the hub exceed it (ω_ij + ω_ik > |e_i|), the corner cases of the
+/// as-if-open classes. The parents themselves are edges too.
+Hypergraph NestedWithDuplicates(size_t num_nodes, size_t num_edges,
+                                std::vector<size_t> parent_sizes,
+                                uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::vector<NodeId>> parents;
+  for (size_t size : parent_sizes) {
+    const auto ids = rng.SampleDistinct(num_nodes, size);
+    parents.emplace_back(ids.begin(), ids.end());
+  }
+  std::vector<std::vector<NodeId>> edges = parents;
+  while (edges.size() < num_edges) {
+    // One edge in five repeats an earlier one verbatim.
+    if (rng.UniformInt(5) == 0) {
+      edges.push_back(edges[rng.UniformInt(edges.size())]);
+      continue;
     }
-    PerEdgeCounts want(m, std::array<double, kNumHMotifs>{});
-    for (size_t i = 0; i < m; ++i) {
-      for (size_t j = i + 1; j < m; ++j) {
-        for (size_t k = j + 1; k < m; ++k) {
-          const int id =
-              testing::BruteForceClassify(sets[i], sets[j], sets[k]);
-          if (id == 0) continue;
-          for (size_t e : {i, j, k}) want[e][id - 1] += 1.0;
-        }
-      }
+    const auto& parent = parents[rng.UniformInt(parents.size())];
+    const uint64_t size =
+        1 + rng.UniformInt(rng.UniformInt(2) == 0 ? 4 : parent.size());
+    std::vector<NodeId> edge;
+    for (uint64_t index : rng.SampleDistinct(parent.size(), size)) {
+      edge.push_back(parent[index]);
     }
-    const MotifEngine engine = MotifEngine::Create(graph).value();
-    for (size_t threads : {1u, 2u, 4u}) {
-      EngineOptions options;
-      options.num_threads = threads;
-      const PerEdgeCounts got = engine.CountPerEdge(options).value().rows;
-      ASSERT_EQ(got.size(), m);
-      for (EdgeId e = 0; e < m; ++e) {
-        for (int t = 0; t < kNumHMotifs; ++t) {
-          EXPECT_EQ(got[e][t], want[e][t])
-              << "m=" << m << " threads=" << threads << " edge " << e
-              << " motif " << t + 1;
-        }
-      }
+    edges.push_back(std::move(edge));
+  }
+  HypergraphBuilder builder;
+  for (const auto& edge : edges) {
+    builder.AddEdge(std::span<const NodeId>(edge.data(), edge.size()));
+  }
+  BuildOptions options;
+  options.num_nodes = num_nodes;
+  options.dedup_edges = false;
+  return std::move(builder).Build(options).value();
+}
+
+TEST(KernelDiffTest, NestedAndDuplicateEdgesMatchOracles) {
+  std::vector<Hypergraph> graphs;
+  for (uint64_t seed : {3u, 19u}) {
+    graphs.push_back(NestedWithDuplicates(24, 70, {14, 10, 8}, seed));
+  }
+  // One hub with |e| >= 64 and >= 100 neighbors.
+  graphs.push_back(NestedWithDuplicates(90, 115, {72, 30, 20}, 57));
+  {
+    const Hypergraph& big = graphs.back();
+    const auto projection = ProjectedGraph::Build(big, 1).value();
+    ASSERT_GE(big.edge_size(0), 64u);
+    ASSERT_GE(projection.degree(0), 100u);
+  }
+  for (const Hypergraph& graph : graphs) {
+    const auto projection = ProjectedGraph::Build(graph, 1).value();
+    const MotifCounts want = reference::CountMotifsExact(graph, projection, 1);
+    ASSERT_GT(want.Total(), 0.0);
+    for (size_t threads : ThreadCounts()) {
+      ExpectBitIdentical(
+          CountMotifsExact(graph, projection, threads), want,
+          "nested m=" + std::to_string(graph.num_edges()) + " threads=" +
+              std::to_string(threads));
     }
+    ExpectPerEdgeRowsMatchBruteForce(graph);
   }
 }
 

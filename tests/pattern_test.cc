@@ -234,6 +234,50 @@ TEST(PatternTest, BruteForceClassifierAgreesWithCardinalities) {
   }
 }
 
+TEST(PatternTest, InlineClassifierMatchesClassifyMotifOrZero) {
+  // Every cardinality vector with all seven entries in [0, 4], consistent
+  // or not.
+  const MotifClassifier classify;
+  constexpr uint64_t kMax = 4;
+  for (uint64_t sa = 0; sa <= kMax; ++sa) {
+    for (uint64_t sb = 0; sb <= kMax; ++sb) {
+      for (uint64_t sc = 0; sc <= kMax; ++sc) {
+        for (uint64_t ab = 0; ab <= kMax; ++ab) {
+          for (uint64_t bc = 0; bc <= kMax; ++bc) {
+            for (uint64_t ca = 0; ca <= kMax; ++ca) {
+              for (uint64_t abc = 0; abc <= kMax; ++abc) {
+                ASSERT_EQ(classify(sa, sb, sc, ab, bc, ca, abc),
+                          ClassifyMotifOrZero(sa, sb, sc, ab, bc, ca, abc))
+                    << sa << " " << sb << " " << sc << " " << ab << " " << bc
+                    << " " << ca << " " << abc;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(PatternTest, OpenClassMatchesClassifyMotifOrZero) {
+  // Every (|hub|, |a|, |b|, ω(hub,a), ω(hub,b)) with 1 <= ω <= |a|, |b|.
+  const MotifClassifier classify;
+  constexpr uint64_t kMax = 7;
+  for (uint64_t hub = 1; hub <= kMax; ++hub) {
+    for (uint64_t wa = 1; wa <= kMax; ++wa) {
+      for (uint64_t wb = 1; wb <= kMax; ++wb) {
+        for (uint64_t sa = wa; sa <= kMax; ++sa) {
+          for (uint64_t sb = wb; sb <= kMax; ++sb) {
+            ASSERT_EQ(classify.OpenClass(hub, sa, sb, wa, wb),
+                      ClassifyMotifOrZero(hub, sa, sb, wa, 0, wb, 0))
+                << hub << " " << sa << " " << sb << " " << wa << " " << wb;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(PatternTest, MotifToStringFormats) {
   EXPECT_EQ(MotifToString(16), "d=111 p=111 t=1 (closed)");
   EXPECT_NE(MotifToString(22).find("(open)"), std::string::npos);

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
+#include <utility>
+#include <vector>
 
 #include "hypergraph/builder.h"
 #include "tests/test_util.h"
@@ -56,6 +59,31 @@ TEST(ProjectionTest, WedgeAtEnumeratesAllWedgesOnce) {
     EXPECT_TRUE(wedges.emplace(i, j).second) << "duplicate wedge";
   }
   EXPECT_EQ(wedges.size(), p.num_wedges());
+}
+
+TEST(ProjectionTest, UpperNeighborsAreTheLargerIdSuffix) {
+  std::vector<Hypergraph> graphs;
+  graphs.push_back(PaperExample());
+  for (uint64_t seed = 0; seed < 4; ++seed) {
+    graphs.push_back(testing::RandomHypergraph(25, 40, 1, 6, seed));
+  }
+  for (const Hypergraph& g : graphs) {
+    const ProjectedGraph p = ProjectedGraph::Build(g).value();
+    uint64_t total = 0;
+    for (EdgeId e = 0; e < p.num_edges(); ++e) {
+      std::vector<std::pair<EdgeId, uint32_t>> want;
+      for (const Neighbor& n : p.neighbors(e)) {
+        if (n.edge > e) want.emplace_back(n.edge, n.weight);
+      }
+      std::vector<std::pair<EdgeId, uint32_t>> got;
+      for (const Neighbor& n : p.upper_neighbors(e)) {
+        got.emplace_back(n.edge, n.weight);
+      }
+      EXPECT_EQ(got, want) << "edge " << e;
+      total += got.size();
+    }
+    EXPECT_EQ(total, p.num_wedges());
+  }
 }
 
 TEST(ProjectionTest, MatchesBruteForceOnRandomGraphs) {
