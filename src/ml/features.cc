@@ -97,26 +97,35 @@ Result<PredictionTask> BuildHyperedgePredictionTask(
   const auto hc_rows = ComputeHandcraftedFeatures(combined);
 
   // HM26 rows: a candidate's row is exactly the instances containing it
-  // in the combined graph — the core's containing-edge primitive over the
-  // combined projection, one candidate per item on the pool. Rows add
-  // integers, so they are bit-identical at any thread count.
+  // in the combined graph — the core's containing-edge census over the
+  // combined projection, candidates claimed in degree-balanced chunks on
+  // the pool. Rows are integer censuses, so they are bit-identical at any
+  // thread count.
   const size_t base = history.num_edges();
   const size_t num_candidates = candidates.size();
   const ProjectedGraph& combined_projection = projection.value();
   const internal::ProjectionSource source(combined, combined_projection);
+  const MotifClassifier classify;
+  const uint64_t max_edge_size = internal::MaxEdgeSize(source.size_of);
   std::vector<std::vector<double>> hm26_rows(2 * num_candidates);
+  std::vector<uint64_t> cost(hm26_rows.size());
+  for (size_t i = 0; i < cost.size(); ++i) {
+    cost[i] = 1 + combined_projection.degree(static_cast<EdgeId>(base + i));
+  }
   const size_t num_threads =
       options.num_threads == 0 ? DefaultThreadCount() : options.num_threads;
-  ParallelFor(hm26_rows.size(), num_threads, [&](size_t i) {
-    const EdgeId candidate = static_cast<EdgeId>(base + i);
-    std::vector<double>& row = hm26_rows[i];
-    row.assign(kNumHMotifs, 0.0);
-    internal::ForEachTripleContaining(
-        source, candidate, combined_projection.neighbors(candidate),
-        internal::ArenaFor(combined), [&row](EdgeId, EdgeId, int id) {
-          if (id != 0) row[static_cast<size_t>(id - 1)] += 1.0;
-        });
-  }, /*chunk=*/1);
+  ParallelWorkChunks(cost, num_threads, [&](size_t, size_t begin, size_t end) {
+    ScratchArena& arena = internal::ArenaFor(combined);
+    internal::OpenPairBuckets buckets(max_edge_size);
+    for (size_t i = begin; i < end; ++i) {
+      const EdgeId candidate = static_cast<EdgeId>(base + i);
+      internal::MotifCensus census{};
+      internal::ContainingCensus(source, classify, candidate,
+                                 combined_projection.neighbors(candidate),
+                                 buckets, arena, census);
+      hm26_rows[i].assign(census.begin() + 1, census.end());
+    }
+  });
 
   PredictionTask task;
   auto append = [&](size_t item, int label) {

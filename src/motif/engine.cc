@@ -403,18 +403,20 @@ Result<EngineResult> MotifEngine::Count(const EngineOptions& options) const {
       break;
     }
     case Algorithm::kWeighted: {
-      // Projection-free (runs on lazy engines too) and single-threaded
-      // by design; thread-count invariance is trivial, so stats report
-      // the one worker that actually ran.
+      // Projection-free, so it runs on lazy engines too. Draws are one
+      // sequential stream and the per-sample work runs on the pool; stats
+      // report the workers it ran on (1 when there is nothing to draw).
       MochyWeightedOptions sampler;
       sampler.num_samples = ResolveSamples(options, num_wedges());
       sampler.seed = options.seed;
+      sampler.num_threads = num_threads;
       result.stats.num_threads = 1;
       result.stats.samples_used = sampler.num_samples;
       if (num_wedges() > 0) {
         auto weighted = CountMotifsWeightedWedge(*graph_, sampler);
         if (!weighted.ok()) return weighted.status();
         result.counts = weighted.value().counts;
+        result.stats.num_threads = weighted.value().num_threads;
       }
       // No hyperwedges means no instances: the zero vector is exact, the
       // same answer every other strategy returns on such inputs.

@@ -26,14 +26,18 @@ MotifCounts CountMotifsEdgeSample(const Hypergraph& graph,
   const size_t m = graph.num_edges();
   if (m == 0 || options.num_samples == 0) return {};
   const internal::ProjectionSource source(graph, projection);
+  const MotifClassifier classify;
+  const uint64_t max_edge_size = internal::MaxEdgeSize(source.size_of);
   const MotifCounts raw = internal::SampleInstances(
       graph, m, options.num_samples, options.seed, options.num_threads,
       [&](size_t) {
-        return [&](uint64_t e, ScratchArena& arena, MotifCounts& out) {
+        return [&, buckets = internal::OpenPairBuckets(max_edge_size)](
+                   uint64_t e, ScratchArena& arena,
+                   internal::MotifCensus& census) mutable {
           const EdgeId ei = static_cast<EdgeId>(e);
-          internal::ForEachTripleContaining(source, ei,
-                                            projection.neighbors(ei), arena,
-                                            internal::RawCounter(out));
+          internal::ContainingCensus(source, classify, ei,
+                                     projection.neighbors(ei), buckets, arena,
+                                     census);
         };
       });
   return Rescale(raw, m, options.num_samples);
@@ -46,6 +50,8 @@ Result<MotifCounts> CountMotifsEdgeSampleLazy(
   const size_t m = graph.num_edges();
   if (m == 0 || options.num_samples == 0) return MotifCounts();
   const std::vector<uint32_t> size_of = internal::HoistEdgeSizes(graph);
+  const MotifClassifier classify;
+  const uint64_t max_edge_size = internal::MaxEdgeSize(size_of);
   // Indexed by worker; at most one worker per sample.
   std::vector<LazyProjection::Stats> local_stats(
       options.num_threads == 0 ? DefaultThreadCount() : options.num_threads);
@@ -55,12 +61,14 @@ Result<MotifCounts> CountMotifsEdgeSampleLazy(
         // N(e_i) must survive the inner N(e_j) fetches: its own buffer.
         return [&, source = internal::LazySource(graph, size_of.data(), lazy,
                                               &local_stats[worker]),
-                buffer = std::vector<Neighbor>()](
-                   uint64_t e, ScratchArena& arena, MotifCounts& out) mutable {
+                buffer = std::vector<Neighbor>(),
+                buckets = internal::OpenPairBuckets(max_edge_size)](
+                   uint64_t e, ScratchArena& arena,
+                   internal::MotifCensus& census) mutable {
           const EdgeId ei = static_cast<EdgeId>(e);
-          internal::ForEachTripleContaining(source, ei,
-                                            source.Fetch(ei, &buffer), arena,
-                                            internal::RawCounter(out));
+          internal::ContainingCensus(source, classify, ei,
+                                     source.Fetch(ei, &buffer), buckets, arena,
+                                     census);
         };
       });
   if (stats_out != nullptr) *stats_out = MergeLazyRunStats(lazy, local_stats);

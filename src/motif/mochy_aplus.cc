@@ -68,17 +68,18 @@ MotifCounts CountMotifsWedgeSample(const Hypergraph& graph,
     return {};
   }
   const internal::ProjectionSource source(graph, projection);
+  const MotifClassifier classify;
   const MotifCounts raw = internal::SampleInstances(
       graph, wedges, options.num_samples, options.seed, options.num_threads,
       [&](size_t) {
-        return [&](uint64_t k, ScratchArena& arena, MotifCounts& out) {
+        return [&](uint64_t k, ScratchArena& arena,
+                   internal::MotifCensus& census) {
           const auto [ei, ej] = projection.WedgeAt(k);
           const uint64_t w_ij = projection.Weight(ei, ej);
           MOCHY_DCHECK(w_ij > 0);
-          internal::ForEachWedgeTriple(source, ei, ej, w_ij,
-                                       projection.neighbors(ei),
-                                       projection.neighbors(ej), arena,
-                                       internal::RawCounter(out));
+          internal::WedgeCensus(source, classify, ei, ej, w_ij,
+                                projection.neighbors(ei),
+                                projection.neighbors(ej), arena, census);
         };
       });
   return RescaleWedgeEstimates(raw, wedges, options.num_samples);
@@ -95,6 +96,7 @@ Result<MotifCounts> CountMotifsWedgeSampleLazy(
     return MotifCounts();
   }
   const std::vector<uint32_t> size_of = internal::HoistEdgeSizes(graph);
+  const MotifClassifier classify;
   // Indexed by worker; at most one worker per sample.
   std::vector<LazyProjection::Stats> local_stats(
       options.num_threads == 0 ? DefaultThreadCount() : options.num_threads);
@@ -105,13 +107,14 @@ Result<MotifCounts> CountMotifsWedgeSampleLazy(
         return [&, source = internal::LazySource(graph, size_of.data(), lazy,
                                               &local_stats[worker]),
                 buffer = std::vector<Neighbor>()](
-                   uint64_t k, ScratchArena& arena, MotifCounts& out) mutable {
+                   uint64_t k, ScratchArena& arena,
+                   internal::MotifCensus& census) mutable {
           const auto [ei, within] = PickWedgeSource(degrees, k);
           const std::span<const Neighbor> nbrs_i = source.Fetch(ei, &buffer);
           const Neighbor picked = PickWedgeTarget(nbrs_i, ei, within);
-          internal::ForEachWedgeTriple(source, ei, picked.edge, picked.weight,
-                                       nbrs_i, source.neighbors(picked.edge),
-                                       arena, internal::RawCounter(out));
+          internal::WedgeCensus(source, classify, ei, picked.edge,
+                                picked.weight, nbrs_i,
+                                source.neighbors(picked.edge), arena, census);
         };
       });
   if (stats_out != nullptr) *stats_out = MergeLazyRunStats(lazy, local_stats);

@@ -1,6 +1,5 @@
 #include "motif/mochy_e.h"
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -17,13 +16,10 @@ MotifCounts CountMotifsExact(const Hypergraph& graph,
       << "projection does not match hypergraph";
   if (num_threads == 0) num_threads = DefaultThreadCount();
 
-  // One integer census per worker, indexed by motif id; slot 0 collects
-  // id 0 (duplicated hyperedges, paper Figure 4, or an as-if-open class
-  // that names no h-motif) and is dropped. Padded against false sharing.
-  struct alignas(64) Census {
-    std::array<int64_t, kNumHMotifs + 1> n{};
-  };
-  std::vector<Census> partial(num_threads);
+  // One integer census per worker; slot 0 collects id 0 (duplicated
+  // hyperedges, paper Figure 4, or an as-if-open class that names no
+  // h-motif) and is dropped.
+  std::vector<internal::PaddedCensus> partial(num_threads);
   internal::ForEachHubClassParallel(
       graph, projection, num_threads,
       [&partial](size_t worker, EdgeId,
@@ -41,14 +37,7 @@ MotifCounts CountMotifsExact(const Hypergraph& graph,
         n[open_j] -= 1;
         n[open_k] -= 1;
       });
-
-  MotifCounts total;
-  for (int id = 1; id <= kNumHMotifs; ++id) {
-    int64_t sum = 0;
-    for (const Census& part : partial) sum += part.n[id];
-    total[id] = static_cast<double>(sum);
-  }
-  return total;
+  return internal::SumCensus(partial);
 }
 
 MotifCounts CountMotifsExact(const Hypergraph& graph, size_t num_threads) {

@@ -16,9 +16,17 @@
 //      exactly unbiased — no |∧| needed.
 //
 // As a by-product, |∧| itself is estimated unbiasedly as (1/r) Σ W/omega.
+//
+// The draws come from one sequential Rng stream, in blocks of
+// kWeightedSampleBlock. Each sample's omega and its instances by class
+// (the wedge census of motif/stamp_kernels.h) are computed on the pool,
+// one NeighborhoodBuilder per worker. The Horvitz-Thompson sums are then
+// replayed in sample order, one addition per instance, so the estimate is
+// the same bits at every thread count.
 #ifndef MOCHY_MOTIF_MOCHY_WEIGHTED_H_
 #define MOCHY_MOTIF_MOCHY_WEIGHTED_H_
 
+#include <cstddef>
 #include <cstdint>
 
 #include "common/status.h"
@@ -27,15 +35,25 @@
 
 namespace mochy {
 
+/// Samples are drawn and summed in blocks of this many: one block of
+/// per-sample censuses is the run's only per-sample memory.
+inline constexpr uint64_t kWeightedSampleBlock = 1024;
+
 struct MochyWeightedOptions {
   uint64_t num_samples = 1000;  ///< r — weighted wedge samples
   uint64_t seed = 1;
+  /// Per-sample work runs in parallel; 0 means DefaultThreadCount(). The
+  /// estimate is bit-identical for any thread count.
+  size_t num_threads = 1;
 };
 
 struct MochyWeightedResult {
   MotifCounts counts;           ///< unbiased per-motif estimates
   double estimated_num_wedges;  ///< unbiased estimate of |∧|
   uint64_t total_weight;        ///< W = Σ_v C(|E_v|, 2), exact
+  /// Workers the per-sample work ran on: the requested count, capped at
+  /// the pool size and at one per sample of a block.
+  size_t num_threads = 1;
 };
 
 /// Runs the projection-free estimator. Fails when the hypergraph has no

@@ -3,7 +3,7 @@
 // MoCHy-E, MoCHy-A and MoCHy-A+ (paper Algorithms 2, 4 and 5) share one
 // step: classify the triple {e_i, e_j, e_k} from |e|, the pairwise ω and
 // the triple intersection (Lemma 2). Every counting path in src/motif runs
-// that step through one of four primitives:
+// that step through one of these primitives:
 //
 //  - ForEachHubClassParallel — counts without visiting open instances:
 //    open pairs by class per hub (OpenPairBuckets), plus every closed
@@ -11,31 +11,37 @@
 //    O(Σ_e |N_e| + Σ_e Σ_{f∈N⁺(e)} |N⁺(f)| + closed · max|e|), the last
 //    term (up to a log d factor) the triple intersections: MoCHy-E and
 //    the per-edge rows (MotifEngine::CountPerEdge).
+//  - WedgeCensus — the instances containing the wedge {e_i, e_j}, by
+//    class: MoCHy-A+ (materialized and lazy) and the weighted sampler
+//    MoCHy-A+W, one census per sample.
+//  - ContainingCensus — the instances containing edge e, by class:
+//    MoCHy-A (materialized and lazy) and the Table-4 HM26 candidate rows.
 //  - ForEachHubTriple — instances hubbed at e_i, so that a sweep over all
 //    hubs visits every instance exactly once, O(Σ_e |N_e|²) pairs: the
 //    paths that need each instance, instance enumeration and the
 //    variance terms, through ForEachInstanceParallel.
-//  - ForEachTripleContaining (+ ...Range) — instances containing edge e,
-//    over a range of N(e): MoCHy-A's per-sample pass, the streaming
-//    arrival/removal delta, and the Table-4 HM26 candidate rows.
-//  - ForEachWedgeTriple — instances containing the wedge {e_i, e_j}:
-//    MoCHy-A+ (materialized and lazy) and the weighted sampler MoCHy-A+W.
+//  - ForEachTripleContainingRange — instances containing edge e, over a
+//    range of N(e): the streaming arrival/removal delta.
 //
-// Each of the last three is a template over a neighbor source and a sink
-// (ForEachHubClassParallel runs on the materialized projection only). A
-// source provides
+// The two census primitives add integers into a MotifCensus, indexed by
+// motif id; slot 0 (no h-motif) is dropped by every reader. They classify
+// in full only the closed triples; an open triple's class is its
+// as-if-open class at its hub (MotifClassifier::OpenClass), a table
+// lookup. The last two primitives call an inlined sink as sink(e_j, e_k,
+// id) for every candidate triple, with id 0 for a triple that is no
+// h-motif (duplicated hyperedges, paper Figure 4), so callers that keep
+// candidate statistics see them all.
+//
+// All but ForEachHubClassParallel (materialized projection only) are
+// templates over a neighbor source, which provides
 //     edge_size(e) -> |e|
 //     edge(e)      -> e's member nodes
 //     neighbors(e) -> N(e) with weights, valid until the next call
 // (ProjectionSource, LazySource, DynamicHypergraph; a plain Hypergraph
-// serves the wedge primitive, whose neighborhoods — NeighborhoodBuilder
-// output in the weighted sampler — are passed in). The hub primitive also
-// probes Weight(a, b). The outer neighborhood a primitive iterates is
-// passed in explicitly and must stay valid for the whole call. The sink is
-// inlined and called as sink(e_j, e_k, id) for every candidate triple the
-// primitive classifies, with id 0 for a triple that is no h-motif
-// (duplicated hyperedges, paper Figure 4), so callers that keep candidate
-// statistics see them all.
+// serves WedgeCensus, whose neighborhoods — NeighborhoodBuilder output in
+// the weighted sampler — are passed in). The hub primitive also probes
+// Weight(a, b). The outer neighborhood a primitive iterates is passed in
+// explicitly and must stay valid for the whole call.
 //
 // Three dense-scratch tricks keep the step cheap (ForEachClosedTriple
 // stamps w(e_i, ·) over N⁺(e_i), counts all triple intersections of a
@@ -58,6 +64,7 @@
 #define MOCHY_MOTIF_STAMP_KERNELS_H_
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <span>
 #include <utility>
@@ -96,6 +103,33 @@ inline std::vector<uint32_t> HoistEdgeSizes(const Hypergraph& graph) {
     sizes[e] = static_cast<uint32_t>(graph.edge_size(static_cast<EdgeId>(e)));
   }
   return sizes;
+}
+
+/// max |e| over `size_of` (HoistEdgeSizes output), 0 when empty.
+inline uint64_t MaxEdgeSize(const std::vector<uint32_t>& size_of) {
+  return size_of.empty() ? 0 : *std::max_element(size_of.begin(), size_of.end());
+}
+
+/// Instance counts by motif id. Slot 0 collects id 0 (a triple that is no
+/// h-motif, or an as-if-open class no open instance reaches) and every
+/// reader drops it. The census primitives add integers, so any sum of
+/// censuses is exact and independent of order.
+using MotifCensus = std::array<int64_t, kNumHMotifs + 1>;
+
+/// One worker's census, padded against false sharing.
+struct alignas(64) PaddedCensus {
+  MotifCensus n{};
+};
+
+/// Σ of the worker censuses as raw counts, slot 0 dropped.
+inline MotifCounts SumCensus(std::span<const PaddedCensus> parts) {
+  MotifCounts total;
+  for (int id = 1; id <= kNumHMotifs; ++id) {
+    int64_t sum = 0;
+    for (const PaddedCensus& part : parts) sum += part.n[id];
+    total[id] = static_cast<double>(sum);
+  }
+  return total;
 }
 
 /// The calling thread's scratch arena (LocalScratchArena), grown to fit
@@ -304,118 +338,6 @@ void ForEachTripleContainingRange(Source& source, EdgeId e,
   }
 }
 
-/// Every instance containing e, each exactly once (`nbrs` = N(e)).
-template <typename Source, typename Sink>
-void ForEachTripleContaining(Source& source, EdgeId e,
-                             std::span<const Neighbor> nbrs,
-                             ScratchArena& arena, Sink&& sink) {
-  StampContainingEdge(source, e, nbrs, arena);
-  ForEachTripleContainingRange(source, e, nbrs, 0, nbrs.size(), arena,
-                               std::forward<Sink>(sink));
-}
-
-/// Every instance containing the wedge {e_i, e_j} (ω = w_ij, `nbrs_i` =
-/// N(e_i), `nbrs_j` = N(e_j)): one triple per e_k adjacent to e_i or e_j.
-/// Uses arena.edge_weight for w(e_j, ·), arena.edge_weight2 for
-/// w(e_i, ·) and both node sets.
-template <typename Source, typename Sink>
-void ForEachWedgeTriple(const Source& source, EdgeId ei, EdgeId ej,
-                        uint64_t w_ij, std::span<const Neighbor> nbrs_i,
-                        std::span<const Neighbor> nbrs_j, ScratchArena& arena,
-                        Sink&& sink) {
-  const uint64_t size_i = source.edge_size(ei);
-  const uint64_t size_j = source.edge_size(ej);
-  StampedWeights& w_i = arena.edge_weight2;  // w(e_i, ·) over N(e_i)\{e_j}
-  StampedWeights& w_j = arena.edge_weight;   // w(e_j, ·) over N(e_j)
-  w_j.NewEpoch();
-  for (const Neighbor& n : nbrs_j) w_j.Set(n.edge, n.weight);
-  w_i.NewEpoch();
-  // e_i's nodes and e_i ∩ e_j are scattered lazily: only wedges that reach
-  // a closed triple pay for the node passes.
-  bool pair_ready = false;
-
-  // e_k in N(e_i): w_ik from the list, w_jk from the stamp.
-  for (const Neighbor& n : nbrs_i) {
-    const EdgeId ek = n.edge;
-    if (ek == ej) continue;
-    w_i.Set(ek, n.weight);
-    const uint64_t w_jk = w_j.Get(ek);
-    uint64_t w_ijk = 0;
-    if (w_jk != 0) {
-      if (!pair_ready) {
-        StampHubNodes(source, ei, arena);
-        StampPairNodes(source, ej, arena);
-        pair_ready = true;
-      }
-      w_ijk = StampedTripleIntersection(source, ek, arena);
-    }
-    sink(ej, ek,
-         ClassifyMotifOrZero(size_i, size_j, source.edge_size(ek), w_ij, w_jk,
-                             n.weight, w_ijk));
-  }
-  // e_k in N(e_j) \ N(e_i): w_ik = 0, hence open with hub e_j.
-  for (const Neighbor& n : nbrs_j) {
-    const EdgeId ek = n.edge;
-    if (ek == ei || w_i.Test(ek)) continue;
-    sink(ej, ek,
-         ClassifyMotifOrZero(size_i, size_j, source.edge_size(ek), w_ij,
-                             /*w_jk=*/n.weight, /*w_ik=*/0, /*w_ijk=*/0));
-  }
-}
-
-/// The sampling loop of MoCHy-A and MoCHy-A+. Sample n of `num_samples`
-/// draws k = UniformInt(population) from its own fork of Rng(seed) — so
-/// the result is identical for any thread count — and worker n mod T
-/// passes it to its visitor(k, arena, raw), which adds one raw count per
-/// instance it finds. `make_visitor(worker)` builds each worker's visitor
-/// with whatever per-worker state its neighbor source needs. Runs on
-/// `num_threads` workers (0 = DefaultThreadCount(), at most one per
-/// sample) and returns the summed raw counts; num_samples must be > 0.
-template <typename MakeVisitor>
-MotifCounts SampleInstances(const Hypergraph& graph, uint64_t population,
-                            uint64_t num_samples, uint64_t seed,
-                            size_t num_threads, MakeVisitor&& make_visitor) {
-  if (num_threads == 0) num_threads = DefaultThreadCount();
-  if (num_threads > num_samples) num_threads = static_cast<size_t>(num_samples);
-  std::vector<MotifCounts> partial(num_threads);
-  const Rng base(seed);
-  ParallelWorkers(num_threads, [&](size_t worker) {
-    ScratchArena& arena = ArenaFor(graph);
-    auto visit = make_visitor(worker);
-    for (uint64_t n = worker; n < num_samples; n += num_threads) {
-      Rng rng = base.Fork(n);
-      visit(rng.UniformInt(population), arena, partial[worker]);
-    }
-  });
-  MotifCounts total;
-  for (const MotifCounts& part : partial) total += part;
-  return total;
-}
-
-/// Sink adding one raw count per instance (id 0, no h-motif, dropped).
-inline auto RawCounter(MotifCounts& raw) {
-  return [&raw](EdgeId, EdgeId, int id) {
-    if (id != 0) raw[id] += 1.0;
-  };
-}
-
-/// Per-hub work of ForEachHubClassParallel: |N_i| to bucket N(e_i) plus
-/// Σ_{j∈N⁺(i)} |N⁺(j)| closed-triple candidates. O(|∧|).
-inline std::vector<uint64_t> HubClassWorkEstimate(
-    const ProjectedGraph& projection) {
-  const size_t m = projection.num_edges();
-  std::vector<uint64_t> cost(m);
-  for (size_t i = 0; i < m; ++i) {
-    const EdgeId ei = static_cast<EdgeId>(i);
-    uint64_t work = projection.degree(ei);
-    for (const Neighbor& n : projection.upper_neighbors(ei)) {
-      work += projection.upper_neighbors(n.edge).size();
-    }
-    cost[i] = work;
-  }
-  return cost;
-}
-
 /// N(e_i) bucketed by key (ω_ij, [|e_j| > ω_ij]). Were e_j and e_k
 /// disjoint, {e_i, e_j, e_k} would be the open instance hubbed at e_i of
 /// class ClassifyMotifOrZero(|e_i|, |e_j|, |e_k|, ω_ij, 0, ω_ik, 0) — its
@@ -429,10 +351,11 @@ class OpenPairBuckets {
   explicit OpenPairBuckets(uint64_t max_edge_size)
       : index_of_(2 * max_edge_size + 2, kNone) {}
 
-  /// Buckets `nbrs` = N(e_i) for a hub of `size_i` nodes; `size_of` holds
+  /// Buckets `nbrs` = N(e_i) for a hub of `size_i` nodes; `source` gives
   /// |e| per hyperedge.
-  void Fill(uint64_t size_i, std::span<const Neighbor> nbrs,
-            const uint32_t* size_of) {
+  template <typename Source>
+  void Fill(const Source& source, uint64_t size_i,
+            std::span<const Neighbor> nbrs) {
     for (uint32_t key : keys_) index_of_[key] = kNone;
     keys_.clear();
     counts_.clear();
@@ -440,7 +363,7 @@ class OpenPairBuckets {
     size_i_ = size_i;
     for (size_t p = 0; p < nbrs.size(); ++p) {
       const uint32_t w = nbrs[p].weight;
-      const uint32_t key = 2 * w + (size_of[nbrs[p].edge] > w ? 1 : 0);
+      const uint32_t key = 2 * w + (source.edge_size(nbrs[p].edge) > w ? 1 : 0);
       uint32_t& index = index_of_[key];
       if (index == kNone) {
         index = static_cast<uint32_t>(keys_.size());
@@ -489,6 +412,150 @@ class OpenPairBuckets {
   uint64_t size_i_ = 0;
   MotifClassifier classify_;
 };
+
+/// The instances containing the wedge {e_i, e_j} (ω = w_ij ≥ 1, `nbrs_i` =
+/// N(e_i), `nbrs_j` = N(e_j)), one per e_k adjacent to e_i or e_j, added to
+/// `census` by class. Every e_k of N(e_j) first counts as if open at hub
+/// e_j (e_i's own entry is taken back); each e_k of N(e_i) \ N(e_j) is
+/// open at hub e_i; each e_k of both closes the triple, which alone is
+/// classified in full (with its triple intersection) and takes back its
+/// hub-e_j entry. Uses arena.edge_weight for w(e_j, ·) and both node sets.
+template <typename Source>
+void WedgeCensus(const Source& source, const MotifClassifier& classify,
+                 EdgeId ei, EdgeId ej, uint64_t w_ij,
+                 std::span<const Neighbor> nbrs_i,
+                 std::span<const Neighbor> nbrs_j, ScratchArena& arena,
+                 MotifCensus& census) {
+  const uint64_t size_i = source.edge_size(ei);
+  const uint64_t size_j = source.edge_size(ej);
+  StampedWeights& w_j = arena.edge_weight;  // w(e_j, ·) over N(e_j)
+  w_j.NewEpoch();
+  for (const Neighbor& n : nbrs_j) {
+    w_j.Set(n.edge, n.weight);
+    ++census[classify.OpenClass(size_j, size_i, source.edge_size(n.edge),
+                                w_ij, n.weight)];
+  }
+  --census[classify.OpenClass(size_j, size_i, size_i, w_ij, w_ij)];
+  // e_i's nodes and e_i ∩ e_j are scattered lazily: only wedges that reach
+  // a closed triple pay for the node passes.
+  bool pair_ready = false;
+  for (const Neighbor& n : nbrs_i) {
+    const EdgeId ek = n.edge;
+    if (ek == ej) continue;
+    const uint64_t size_k = source.edge_size(ek);
+    const uint64_t w_jk = w_j.Get(ek);
+    if (w_jk == 0) {
+      ++census[classify.OpenClass(size_i, size_j, size_k, w_ij, n.weight)];
+      continue;
+    }
+    if (!pair_ready) {
+      StampHubNodes(source, ei, arena);
+      StampPairNodes(source, ej, arena);
+      pair_ready = true;
+    }
+    const uint64_t w_ijk = StampedTripleIntersection(source, ek, arena);
+    ++census[classify(size_i, size_j, size_k, w_ij, w_jk, n.weight, w_ijk)];
+    --census[classify.OpenClass(size_j, size_i, size_k, w_ij, w_jk)];
+  }
+}
+
+/// The instances containing e (`nbrs` = N(e)), each once, added to
+/// `census` by class: every pair of N(e) as if open at hub e, through
+/// `buckets` (refilled here); for each e_j ∈ N(e), every e_k ∈ N(e_j)
+/// outside N(e) as open at hub e_j; and each closed {e, e_j, e_k} once (e_j
+/// < e_k), classified in full, taking back its hub-e pair class.
+/// O(|N_e| + keys² + Σ_j |N_j| + closed · |e_k|). Uses arena.edge_weight2
+/// for w(e, ·) and both node sets.
+template <typename Source>
+void ContainingCensus(Source& source, const MotifClassifier& classify,
+                      EdgeId e, std::span<const Neighbor> nbrs,
+                      OpenPairBuckets& buckets, ScratchArena& arena,
+                      MotifCensus& census) {
+  const uint64_t size_e = source.edge_size(e);
+  buckets.Fill(source, size_e, nbrs);
+  buckets.ForEachKeyPair([&census](size_t, size_t, uint64_t pairs, int id) {
+    census[id] += static_cast<int64_t>(pairs);
+  });
+  StampedWeights& w_e = arena.edge_weight2;  // w(e, ·) over N(e)
+  w_e.NewEpoch();
+  for (const Neighbor& n : nbrs) w_e.Set(n.edge, n.weight);
+  // e's nodes and e ∩ e_j are scattered lazily: only edges and pairs that
+  // reach a closed triple pay for the node passes.
+  bool hub_ready = false;
+  for (const Neighbor& nj : nbrs) {
+    const EdgeId ej = nj.edge;
+    const uint64_t w_ej = nj.weight;
+    const uint64_t size_j = source.edge_size(ej);
+    bool pair_ready = false;
+    for (const Neighbor& nk : source.neighbors(ej)) {
+      const EdgeId ek = nk.edge;
+      if (ek == e) continue;
+      const uint64_t size_k = source.edge_size(ek);
+      const uint64_t w_ek = w_e.Get(ek);
+      if (w_ek == 0) {
+        ++census[classify.OpenClass(size_j, size_e, size_k, w_ej, nk.weight)];
+        continue;
+      }
+      if (ek < ej) continue;  // closed: classified once, as e_j < e_k
+      if (!pair_ready) {
+        if (!hub_ready) {
+          StampHubNodes(source, e, arena);
+          hub_ready = true;
+        }
+        StampPairNodes(source, ej, arena);
+        pair_ready = true;
+      }
+      const uint64_t w_ejk = StampedTripleIntersection(source, ek, arena);
+      ++census[classify(size_e, size_j, size_k, w_ej, nk.weight, w_ek, w_ejk)];
+      --census[classify.OpenClass(size_e, size_j, size_k, w_ej, w_ek)];
+    }
+  }
+}
+
+/// The sampling loop of MoCHy-A and MoCHy-A+. Sample n of `num_samples`
+/// draws k = UniformInt(population) from its own fork of Rng(seed) — so
+/// the result is identical for any thread count — and worker n mod T
+/// passes it to its visitor(k, arena, census), which adds the sample's
+/// instances to the worker's census by class. `make_visitor(worker)`
+/// builds each worker's visitor with whatever per-worker state its
+/// neighbor source needs. Runs on `num_threads` workers (0 =
+/// DefaultThreadCount(), at most one per sample) and returns the summed
+/// raw counts (slot 0 dropped); num_samples must be > 0.
+template <typename MakeVisitor>
+MotifCounts SampleInstances(const Hypergraph& graph, uint64_t population,
+                            uint64_t num_samples, uint64_t seed,
+                            size_t num_threads, MakeVisitor&& make_visitor) {
+  if (num_threads == 0) num_threads = DefaultThreadCount();
+  if (num_threads > num_samples) num_threads = static_cast<size_t>(num_samples);
+  std::vector<PaddedCensus> partial(num_threads);
+  const Rng base(seed);
+  ParallelWorkers(num_threads, [&](size_t worker) {
+    ScratchArena& arena = ArenaFor(graph);
+    auto visit = make_visitor(worker);
+    for (uint64_t n = worker; n < num_samples; n += num_threads) {
+      Rng rng = base.Fork(n);
+      visit(rng.UniformInt(population), arena, partial[worker].n);
+    }
+  });
+  return SumCensus(partial);
+}
+
+/// Per-hub work of ForEachHubClassParallel: |N_i| to bucket N(e_i) plus
+/// Σ_{j∈N⁺(i)} |N⁺(j)| closed-triple candidates. O(|∧|).
+inline std::vector<uint64_t> HubClassWorkEstimate(
+    const ProjectedGraph& projection) {
+  const size_t m = projection.num_edges();
+  std::vector<uint64_t> cost(m);
+  for (size_t i = 0; i < m; ++i) {
+    const EdgeId ei = static_cast<EdgeId>(i);
+    uint64_t work = projection.degree(ei);
+    for (const Neighbor& n : projection.upper_neighbors(ei)) {
+      work += projection.upper_neighbors(n.edge).size();
+    }
+    cost[i] = work;
+  }
+  return cost;
+}
 
 /// |e_i ∩ e_j ∩ e_k| for every e_k > e_j at once, into arena.edge_weight2
 /// (fresh epoch; unset means 0): for each v ∈ e_i ∩ e_j, one increment per
@@ -579,18 +646,14 @@ void ForEachHubClassParallel(const Hypergraph& graph,
   const std::vector<uint64_t> cost = HubClassWorkEstimate(projection);
   const ProjectionSource source(graph, projection);
   const MotifClassifier classify;
-  uint64_t max_edge_size = 0;
-  for (uint32_t size : source.size_of) {
-    max_edge_size = std::max<uint64_t>(max_edge_size, size);
-  }
+  const uint64_t max_edge_size = MaxEdgeSize(source.size_of);
   ParallelWorkChunks(cost, num_threads == 0 ? DefaultThreadCount() : num_threads,
                      [&](size_t worker, size_t begin, size_t end) {
     ScratchArena& arena = ArenaFor(graph);
     OpenPairBuckets buckets(max_edge_size);
     for (size_t i = begin; i < end; ++i) {
       const EdgeId ei = static_cast<EdgeId>(i);
-      buckets.Fill(source.edge_size(ei), projection.neighbors(ei),
-                   source.size_of.data());
+      buckets.Fill(source, source.edge_size(ei), projection.neighbors(ei));
       open(worker, ei, std::as_const(buckets));
       ForEachClosedTriple(source, ei, classify, arena,
                           [&](EdgeId ej, EdgeId ek, int id, int open_i,

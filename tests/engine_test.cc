@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -227,9 +228,10 @@ Hypergraph SkewedDuplicateGraph(uint64_t seed) {
 TEST(MotifEngineWeightedTest, BitIdenticalToFreeFunctionAtEveryThreadCount) {
   // kWeighted must be a promotion, not a reimplementation: at 1, 2, and
   // the default thread count the facade's estimates are bit-identical to
-  // the pre-existing CountMotifsWeightedWedge kernel with the same
-  // sample budget and seed (the kernel is single-threaded by design, so
-  // the thread knob may never leak into the results).
+  // the single-threaded CountMotifsWeightedWedge kernel with the same
+  // sample budget and seed (the draws are one sequential stream, so the
+  // thread knob may never leak into the results), and the stats report
+  // the workers the per-sample work ran on.
   for (uint64_t seed = 0; seed < 5; ++seed) {
     const Hypergraph g = SkewedDuplicateGraph(seed);
     const MotifEngine engine = MotifEngine::Create(g).value();
@@ -251,7 +253,9 @@ TEST(MotifEngineWeightedTest, BitIdenticalToFreeFunctionAtEveryThreadCount) {
       }
       EXPECT_EQ(facade.stats.algorithm, Algorithm::kWeighted);
       EXPECT_EQ(facade.stats.samples_used, 500u);
-      EXPECT_EQ(facade.stats.num_threads, 1u);  // kernel is single-threaded
+      const size_t requested = threads == 0 ? DefaultThreadCount() : threads;
+      EXPECT_EQ(facade.stats.num_threads,
+                std::min(requested, DefaultThreadCount()));
     }
   }
 }

@@ -23,6 +23,7 @@
 #include "motif/mochy_e.h"
 #include "motif/mochy_weighted.h"
 #include "motif/reference.h"
+#include "motif/stamp_kernels.h"
 #include "motif/streaming.h"
 #include "tests/test_util.h"
 
@@ -207,21 +208,33 @@ Hypergraph Figure2Graph() {
 TEST(KernelDiffTest, WeightedMatchesReference) {
   std::vector<Hypergraph> graphs = DuplicateSweep();
   graphs.push_back(Figure2Graph());
+  // Samples run in blocks: one sample, a block's edges, and a short last
+  // block after several full ones.
+  const uint64_t block = kWeightedSampleBlock;
   for (const Hypergraph& graph : graphs) {
     for (uint64_t seed : {1u, 77u}) {
-      MochyWeightedOptions options;
-      options.num_samples = 300;
-      options.seed = seed;
-      const MochyWeightedResult want =
-          reference::CountMotifsWeightedWedge(graph, options).value();
-      const MochyWeightedResult got =
-          CountMotifsWeightedWedge(graph, options).value();
-      const std::string label = "weighted m=" +
-                                std::to_string(graph.num_edges()) +
-                                " seed=" + std::to_string(seed);
-      ExpectBitIdentical(got.counts, want.counts, label);
-      EXPECT_EQ(got.estimated_num_wedges, want.estimated_num_wedges) << label;
-      EXPECT_EQ(got.total_weight, want.total_weight) << label;
+      for (uint64_t samples :
+           {uint64_t{1}, block - 1, block, block + 1, 3 * block + 17}) {
+        MochyWeightedOptions options;
+        options.num_samples = samples;
+        options.seed = seed;
+        const MochyWeightedResult want =
+            reference::CountMotifsWeightedWedge(graph, options).value();
+        for (size_t threads : ThreadCounts()) {
+          options.num_threads = threads;
+          const MochyWeightedResult got =
+              CountMotifsWeightedWedge(graph, options).value();
+          const std::string label =
+              "weighted m=" + std::to_string(graph.num_edges()) +
+              " seed=" + std::to_string(seed) +
+              " samples=" + std::to_string(samples) +
+              " threads=" + std::to_string(threads);
+          ExpectBitIdentical(got.counts, want.counts, label);
+          EXPECT_EQ(got.estimated_num_wedges, want.estimated_num_wedges)
+              << label;
+          EXPECT_EQ(got.total_weight, want.total_weight) << label;
+        }
+      }
     }
   }
 }
@@ -313,13 +326,19 @@ Hypergraph NestedWithDuplicates(size_t num_nodes, size_t num_edges,
   return std::move(builder).Build(options).value();
 }
 
-TEST(KernelDiffTest, NestedAndDuplicateEdgesMatchOracles) {
+/// Nested graphs with duplicates; the last has one hub with |e| >= 64 and
+/// >= 100 neighbors.
+std::vector<Hypergraph> NestedCorpus() {
   std::vector<Hypergraph> graphs;
   for (uint64_t seed : {3u, 19u}) {
     graphs.push_back(NestedWithDuplicates(24, 70, {14, 10, 8}, seed));
   }
-  // One hub with |e| >= 64 and >= 100 neighbors.
   graphs.push_back(NestedWithDuplicates(90, 115, {72, 30, 20}, 57));
+  return graphs;
+}
+
+TEST(KernelDiffTest, NestedAndDuplicateEdgesMatchOracles) {
+  const std::vector<Hypergraph> graphs = NestedCorpus();
   {
     const Hypergraph& big = graphs.back();
     const auto projection = ProjectedGraph::Build(big, 1).value();
@@ -337,6 +356,79 @@ TEST(KernelDiffTest, NestedAndDuplicateEdgesMatchOracles) {
               std::to_string(threads));
     }
     ExpectPerEdgeRowsMatchBruteForce(graph);
+  }
+}
+
+/// The class of {a, b, c} from plain intersections of the edge lists.
+int ClassifyTriple(const Hypergraph& graph, EdgeId a, EdgeId b, EdgeId c) {
+  return ClassifyMotifOrZero(
+      graph.edge_size(a), graph.edge_size(b), graph.edge_size(c),
+      graph.IntersectionSize(a, b), graph.IntersectionSize(b, c),
+      graph.IntersectionSize(c, a), graph.TripleIntersectionSize(a, b, c));
+}
+
+/// The members of N(a) ∪ N(b) other than a and b.
+std::set<EdgeId> NeighborUnion(const ProjectedGraph& projection, EdgeId a,
+                               EdgeId b) {
+  std::set<EdgeId> out;
+  for (EdgeId e : {a, b}) {
+    for (const Neighbor& n : projection.neighbors(e)) out.insert(n.edge);
+  }
+  out.erase(a);
+  out.erase(b);
+  return out;
+}
+
+void ExpectCensusEqual(const internal::MotifCensus& got,
+                       const internal::MotifCensus& want,
+                       const std::string& label) {
+  for (int t = 1; t <= kNumHMotifs; ++t) {
+    EXPECT_EQ(got[t], want[t]) << label << ": motif " << t;
+  }
+}
+
+TEST(KernelDiffTest, CensusPrimitivesMatchPerInstanceClassification) {
+  std::vector<Hypergraph> graphs = DiffCorpus();
+  for (Hypergraph& graph : NestedCorpus()) graphs.push_back(std::move(graph));
+  for (const Hypergraph& graph : graphs) {
+    const auto projection = ProjectedGraph::Build(graph, 1).value();
+    const internal::ProjectionSource source(graph, projection);
+    const MotifClassifier classify;
+    internal::OpenPairBuckets buckets(internal::MaxEdgeSize(source.size_of));
+    ScratchArena& arena = internal::ArenaFor(graph);
+    const std::string graph_label = "m=" + std::to_string(graph.num_edges());
+    for (EdgeId ei = 0; ei < graph.num_edges(); ++ei) {
+      // Every instance containing e_i: a second member from N(e_i), a
+      // third from N(e_i) ∪ N(e_j), each unordered pair once.
+      internal::MotifCensus want{};
+      for (const Neighbor& nj : projection.neighbors(ei)) {
+        for (EdgeId ek : NeighborUnion(projection, ei, nj.edge)) {
+          if (projection.Weight(ei, ek) != 0 && ek < nj.edge) continue;
+          ++want[ClassifyTriple(graph, ei, nj.edge, ek)];
+        }
+      }
+      internal::MotifCensus got{};
+      internal::ContainingCensus(source, classify, ei,
+                                 projection.neighbors(ei), buckets, arena, got);
+      ExpectCensusEqual(got, want,
+                        graph_label + " containing e=" + std::to_string(ei));
+
+      // Every instance containing the wedge {e_i, e_j}, e_i < e_j.
+      for (const Neighbor& nj : projection.upper_neighbors(ei)) {
+        const EdgeId ej = nj.edge;
+        internal::MotifCensus wedge_want{};
+        for (EdgeId ek : NeighborUnion(projection, ei, ej)) {
+          ++wedge_want[ClassifyTriple(graph, ei, ej, ek)];
+        }
+        internal::MotifCensus wedge_got{};
+        internal::WedgeCensus(source, classify, ei, ej, nj.weight,
+                              projection.neighbors(ei),
+                              projection.neighbors(ej), arena, wedge_got);
+        ExpectCensusEqual(wedge_got, wedge_want,
+                          graph_label + " wedge {" + std::to_string(ei) +
+                              ", " + std::to_string(ej) + "}");
+      }
+    }
   }
 }
 

@@ -330,7 +330,7 @@ TEST_P(ProjectionPolicyEquivalence, LazyAndAutoMatchMaterializedBitForBit) {
   const EngineResult bounded = lazy.Count(options).value();
   EXPECT_EQ(bounded.stats.projection_policy, ProjectionPolicy::kLazy);
   for (int t = 1; t <= kNumHMotifs; ++t) {
-    EXPECT_DOUBLE_EQ(reference.counts[t], bounded.counts[t]) << "motif " << t;
+    EXPECT_EQ(reference.counts[t], bounded.counts[t]) << "motif " << t;
   }
 
   // kAuto with a budget below the estimated footprint resolves to lazy and
@@ -341,8 +341,7 @@ TEST_P(ProjectionPolicyEquivalence, LazyAndAutoMatchMaterializedBitForBit) {
   EXPECT_FALSE(chosen.materialized());
   const EngineResult auto_result = chosen.Count(options).value();
   for (int t = 1; t <= kNumHMotifs; ++t) {
-    EXPECT_DOUBLE_EQ(reference.counts[t], auto_result.counts[t])
-        << "motif " << t;
+    EXPECT_EQ(reference.counts[t], auto_result.counts[t]) << "motif " << t;
   }
 
   // kAuto with no budget (0 = unbounded) materializes — the status quo.
@@ -382,7 +381,7 @@ TEST(ProjectionPolicyTest, TinyBudgetEvictsAndStaysExact) {
   const EngineResult reference =
       MotifEngine::Create(g, options).value().Count(options).value();
   for (int t = 1; t <= kNumHMotifs; ++t) {
-    EXPECT_DOUBLE_EQ(reference.counts[t], bounded.counts[t]) << "motif " << t;
+    EXPECT_EQ(reference.counts[t], bounded.counts[t]) << "motif " << t;
   }
 }
 

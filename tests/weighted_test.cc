@@ -2,9 +2,10 @@
 // weighted-wedge estimator: determinism in the seed, exactness of the
 // weight normalizer W, unbiasedness against the brute-force counts of
 // small graphs (fixed seeds — every expectation here is deterministic),
-// and the no-wedge failure mode. The estimator runs single-threaded
-// (MochyWeightedOptions has no thread knob), so same-seed bit-identity
-// is its entire determinism contract.
+// and the no-wedge failure mode. The draws are one sequential stream and
+// the per-sample work runs on the pool; bit-identity across thread counts
+// is checked against the frozen loop in kernel_diff_test.cc, so
+// same-seed bit-identity is the determinism contract checked here.
 #include <gtest/gtest.h>
 
 #include <cmath>
