@@ -118,19 +118,27 @@
 //                                                   load <name> <file>
 //                                                   stats
 //                                                   shutdown
-//                                                 count/profile output is
-//                                                 formatted exactly like the
-//                                                 offline commands (served
-//                                                 counts are bit-identical),
-//                                                 plus a trailing
-//                                                 "cached: yes|no" line
+//                                                 output is formatted
+//                                                 exactly like the offline
+//                                                 commands (served bodies
+//                                                 are bit-identical), plus
+//                                                 a trailing "cached:
+//                                                 yes|no" line
+//
+// count, sample, profile, per-edge and predict are the query kinds of
+// serve/query.h: offline and under `query` they build the same Query from
+// their flags, answer it through the same library call as the server and
+// print it with the same printer. Each takes only its own kind's flags
+// (count's --projection, --memory-budget and --spill-dir offline only,
+// the client flags under `query` only) and refuses any other by name.
 //
 // Exit status: 0 on success, 1 on usage errors, 2 on I/O or data errors.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
+#include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -150,28 +158,23 @@
 #include "profile/significance.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
-#include "serve/render.h"
+#include "serve/query.h"
 #include "serve/server.h"
 
 namespace {
 
 using namespace mochy;
 
+/// The flags of the commands that are not query kinds, plus count's
+/// engine-construction flags and the `query` client's. A query kind's
+/// own options live in its Query (serve/query.h).
 struct Flags {
-  Algorithm algorithm = Algorithm::kExact;
   ProjectionPolicy projection = ProjectionPolicy::kAuto;
   uint64_t memory_budget = 0;  // bytes; 0 = unbounded
-  double ratio = 0.05;
-  uint64_t samples = 0;  // 0 = derive from --ratio
   uint64_t seed = 1;
   size_t threads = 0;  // 0 = DefaultThreadCount()
-  int random_graphs = 5;
-  double sample_ratio = -1.0;  // profile: < 0 = exact counting
-  double epsilon = 1.0;
-  NullModel null_model = NullModel::kChungLu;
   size_t limit = 50;
   double scale = 0.25;
-  double replace = 0.5;  // predict: fake-fabrication member replacement
   uint64_t window = 1;
   uint64_t horizon = 0;  // 0: window width (see ReplayOptions::horizon)
   WindowMode mode = WindowMode::kCumulative;
@@ -195,159 +198,147 @@ bool BadFlag(const std::string& key, const Status& status) {
   return false;
 }
 
-/// Parses trailing --key value flags; returns false on unknown flags and
-/// on values that fail validation (junk, wrong sign, out of range —
-/// common/parse.h semantics; nothing is silently coerced to 0).
-bool ParseFlags(int argc, char** argv, int first, Flags* flags) {
+/// Parses one `--key value` flag into `flags`; false (after printing
+/// why) on an unknown flag or a value that fails validation (junk, wrong
+/// sign, out of range: common/parse.h semantics, nothing is silently
+/// coerced to 0).
+bool ParseFlag(const std::string& key, const char* value, Flags* flags) {
+  if (key == "--projection") {
+    auto parsed = ParseProjectionPolicy(value);
+    if (!parsed.ok()) return BadFlag(key, parsed.status());
+    flags->projection = parsed.value();
+  } else if (key == "--memory-budget") {
+    auto parsed = ParseMemoryBudget(value);
+    if (!parsed.ok()) return BadFlag(key, parsed.status());
+    flags->memory_budget = parsed.value();
+  } else if (key == "--seed") {
+    auto parsed = ParseUint64(value);
+    if (!parsed.ok()) return BadFlag(key, parsed.status());
+    flags->seed = parsed.value();
+  } else if (key == "--threads") {
+    auto parsed = ParseUint64InRange(value, 0, 4096, "--threads");
+    if (!parsed.ok()) return BadFlag(key, parsed.status());
+    flags->threads = static_cast<size_t>(parsed.value());
+  } else if (key == "--limit") {
+    auto parsed = ParseUint64(value);
+    if (!parsed.ok()) return BadFlag(key, parsed.status());
+    flags->limit = static_cast<size_t>(parsed.value());
+  } else if (key == "--scale") {
+    auto parsed = ParsePositiveDouble(value, "--scale");
+    if (!parsed.ok()) return BadFlag(key, parsed.status());
+    flags->scale = parsed.value();
+  } else if (key == "--window") {
+    // "--window sliding:W" is shorthand for "--mode sliding --window W".
+    std::string_view width = value;
+    if (width.rfind("sliding:", 0) == 0) {
+      flags->mode = WindowMode::kSliding;
+      width.remove_prefix(std::strlen("sliding:"));
+    }
+    auto parsed = ParseUint64InRange(width, 1, UINT64_MAX, "--window");
+    if (!parsed.ok()) return BadFlag(key, parsed.status());
+    flags->window = parsed.value();
+  } else if (key == "--mode") {
+    const std::string mode = value;
+    if (mode == "cumulative") {
+      flags->mode = WindowMode::kCumulative;
+    } else if (mode == "tumbling") {
+      flags->mode = WindowMode::kTumbling;
+    } else if (mode == "sliding") {
+      flags->mode = WindowMode::kSliding;
+    } else {
+      std::fprintf(
+          stderr, "unknown mode '%s' (want cumulative|tumbling|sliding)\n",
+          value);
+      return false;
+    }
+  } else if (key == "--horizon") {
+    auto parsed = ParseUint64InRange(value, 1, UINT64_MAX, "--horizon");
+    if (!parsed.ok()) return BadFlag(key, parsed.status());
+    flags->horizon = parsed.value();
+  } else if (key == "--years") {
+    auto parsed = ParseUint64InRange(value, 1, 1000, "--years");
+    if (!parsed.ok()) return BadFlag(key, parsed.status());
+    flags->years = static_cast<size_t>(parsed.value());
+  } else if (key == "--wal") {
+    flags->wal = value;
+  } else if (key == "--spill-dir") {
+    flags->spill_dir = value;
+  } else if (key == "--io-timeout") {
+    auto parsed = ParseUint64InRange(value, 0, 86'400'000, "--io-timeout");
+    if (!parsed.ok()) return BadFlag(key, parsed.status());
+    flags->io_timeout_ms = static_cast<int>(parsed.value());
+  } else if (key == "--connect-timeout") {
+    auto parsed =
+        ParseUint64InRange(value, 0, 86'400'000, "--connect-timeout");
+    if (!parsed.ok()) return BadFlag(key, parsed.status());
+    flags->connect_timeout_ms = static_cast<int>(parsed.value());
+  } else if (key == "--max-connections") {
+    auto parsed =
+        ParseUint64InRange(value, 0, 1'000'000, "--max-connections");
+    if (!parsed.ok()) return BadFlag(key, parsed.status());
+    flags->max_connections = static_cast<size_t>(parsed.value());
+  } else if (key == "--retries") {
+    auto parsed = ParseUint64InRange(value, 1, 1000, "--retries");
+    if (!parsed.ok()) return BadFlag(key, parsed.status());
+    flags->retries = static_cast<int>(parsed.value());
+  } else if (key == "--socket") {
+    flags->socket = value;
+  } else if (key == "--port") {
+    auto parsed = ParseUint64InRange(value, 1, 65535, "--port");
+    if (!parsed.ok()) return BadFlag(key, parsed.status());
+    flags->port = static_cast<int>(parsed.value());
+  } else if (key == "--cache-budget") {
+    auto parsed = ParseMemoryBudget(value);
+    if (!parsed.ok()) return BadFlag(key, parsed.status());
+    flags->cache_budget = parsed.value();
+  } else if (key == "--load") {
+    const std::string spec = value;
+    const size_t eq = spec.find('=');
+    if (eq == std::string::npos || eq == 0 || eq + 1 == spec.size()) {
+      std::fprintf(stderr, "--load wants NAME=FILE, got '%s'\n", value);
+      return false;
+    }
+    flags->loads.emplace_back(spec.substr(0, eq), spec.substr(eq + 1));
+  } else {
+    std::fprintf(stderr, "unknown flag %s\n", key.c_str());
+    return false;
+  }
+  return true;
+}
+
+/// count/sample's engine-construction flags: offline only, since a
+/// served graph's engine is built when it is loaded.
+constexpr std::string_view kEngineFlags[] = {"--projection",
+                                             "--memory-budget", "--spill-dir"};
+/// The `query` client's flags.
+constexpr std::string_view kClientFlags[] = {
+    "--socket", "--port", "--retries", "--connect-timeout", "--io-timeout"};
+
+/// Parses trailing `--key value` flags from argv[first]. For a query
+/// command (`command` non-empty), `query`, when given, takes its kind's
+/// options through the query table, `extra` lists the only other flags
+/// the command takes, and any other flag is refused by name.
+bool ParseFlags(int argc, char** argv, int first, Flags* flags,
+                std::string_view command = {}, Query* query = nullptr,
+                std::span<const std::string_view> extra = {}) {
   for (int i = first; i < argc; i += 2) {
     const std::string key = argv[i];
     if (i + 1 >= argc) {
       std::fprintf(stderr, "missing value for %s\n", key.c_str());
       return false;
     }
-    const char* value = argv[i + 1];
-    if (key == "--algorithm") {
-      auto parsed = ParseAlgorithm(value);
-      if (!parsed.ok()) return BadFlag(key, parsed.status());
-      flags->algorithm = parsed.value();
-    } else if (key == "--projection") {
-      auto parsed = ParseProjectionPolicy(value);
-      if (!parsed.ok()) return BadFlag(key, parsed.status());
-      flags->projection = parsed.value();
-    } else if (key == "--memory-budget") {
-      auto parsed = ParseMemoryBudget(value);
-      if (!parsed.ok()) return BadFlag(key, parsed.status());
-      flags->memory_budget = parsed.value();
-    } else if (key == "--ratio") {
-      auto parsed = ParsePositiveDouble(value, "--ratio");
-      if (!parsed.ok()) return BadFlag(key, parsed.status());
-      flags->ratio = parsed.value();
-    } else if (key == "--samples") {
-      auto parsed = ParseUint64(value);
-      if (!parsed.ok()) return BadFlag(key, parsed.status());
-      flags->samples = parsed.value();
-    } else if (key == "--seed") {
-      auto parsed = ParseUint64(value);
-      if (!parsed.ok()) return BadFlag(key, parsed.status());
-      flags->seed = parsed.value();
-    } else if (key == "--threads") {
-      auto parsed = ParseUint64InRange(value, 0, 4096, "--threads");
-      if (!parsed.ok()) return BadFlag(key, parsed.status());
-      flags->threads = static_cast<size_t>(parsed.value());
-    } else if (key == "--random") {
-      auto parsed = ParseUint64InRange(value, 1, 100000, "--random");
-      if (!parsed.ok()) return BadFlag(key, parsed.status());
-      flags->random_graphs = static_cast<int>(parsed.value());
-    } else if (key == "--sample-ratio") {
-      // Any finite value: < 0 selects exact counting.
-      auto parsed = ParseDouble(value);
-      if (!parsed.ok()) return BadFlag(key, parsed.status());
-      flags->sample_ratio = parsed.value();
-    } else if (key == "--epsilon") {
-      auto parsed = ParseDouble(value);
-      if (!parsed.ok()) return BadFlag(key, parsed.status());
-      flags->epsilon = parsed.value();
-    } else if (key == "--null") {
-      const std::string model = value;
-      if (model == "chung-lu") {
-        flags->null_model = NullModel::kChungLu;
-      } else if (model == "perturb") {
-        flags->null_model = NullModel::kPerturb;
-      } else {
-        std::fprintf(stderr, "unknown null model '%s' (want chung-lu|perturb)\n",
-                     value);
-        return false;
-      }
-    } else if (key == "--replace") {
-      auto parsed = ParsePositiveDouble(value, "--replace");
-      if (!parsed.ok()) return BadFlag(key, parsed.status());
-      if (parsed.value() > 1.0) {
-        std::fprintf(stderr, "--replace must be in (0, 1], got %s\n", value);
-        return false;
-      }
-      flags->replace = parsed.value();
-    } else if (key == "--limit") {
-      auto parsed = ParseUint64(value);
-      if (!parsed.ok()) return BadFlag(key, parsed.status());
-      flags->limit = static_cast<size_t>(parsed.value());
-    } else if (key == "--scale") {
-      auto parsed = ParsePositiveDouble(value, "--scale");
-      if (!parsed.ok()) return BadFlag(key, parsed.status());
-      flags->scale = parsed.value();
-    } else if (key == "--window") {
-      // "--window sliding:W" is shorthand for "--mode sliding --window W".
-      std::string_view width = value;
-      if (width.rfind("sliding:", 0) == 0) {
-        flags->mode = WindowMode::kSliding;
-        width.remove_prefix(std::strlen("sliding:"));
-      }
-      auto parsed = ParseUint64InRange(width, 1, UINT64_MAX, "--window");
-      if (!parsed.ok()) return BadFlag(key, parsed.status());
-      flags->window = parsed.value();
-    } else if (key == "--mode") {
-      const std::string mode = value;
-      if (mode == "cumulative") {
-        flags->mode = WindowMode::kCumulative;
-      } else if (mode == "tumbling") {
-        flags->mode = WindowMode::kTumbling;
-      } else if (mode == "sliding") {
-        flags->mode = WindowMode::kSliding;
-      } else {
-        std::fprintf(
-            stderr, "unknown mode '%s' (want cumulative|tumbling|sliding)\n",
-            value);
-        return false;
-      }
-    } else if (key == "--horizon") {
-      auto parsed = ParseUint64InRange(value, 1, UINT64_MAX, "--horizon");
-      if (!parsed.ok()) return BadFlag(key, parsed.status());
-      flags->horizon = parsed.value();
-    } else if (key == "--years") {
-      auto parsed = ParseUint64InRange(value, 1, 1000, "--years");
-      if (!parsed.ok()) return BadFlag(key, parsed.status());
-      flags->years = static_cast<size_t>(parsed.value());
-    } else if (key == "--wal") {
-      flags->wal = value;
-    } else if (key == "--spill-dir") {
-      flags->spill_dir = value;
-    } else if (key == "--io-timeout") {
-      auto parsed = ParseUint64InRange(value, 0, 86'400'000, "--io-timeout");
-      if (!parsed.ok()) return BadFlag(key, parsed.status());
-      flags->io_timeout_ms = static_cast<int>(parsed.value());
-    } else if (key == "--connect-timeout") {
-      auto parsed =
-          ParseUint64InRange(value, 0, 86'400'000, "--connect-timeout");
-      if (!parsed.ok()) return BadFlag(key, parsed.status());
-      flags->connect_timeout_ms = static_cast<int>(parsed.value());
-    } else if (key == "--max-connections") {
-      auto parsed =
-          ParseUint64InRange(value, 0, 1'000'000, "--max-connections");
-      if (!parsed.ok()) return BadFlag(key, parsed.status());
-      flags->max_connections = static_cast<size_t>(parsed.value());
-    } else if (key == "--retries") {
-      auto parsed = ParseUint64InRange(value, 1, 1000, "--retries");
-      if (!parsed.ok()) return BadFlag(key, parsed.status());
-      flags->retries = static_cast<int>(parsed.value());
-    } else if (key == "--socket") {
-      flags->socket = value;
-    } else if (key == "--port") {
-      auto parsed = ParseUint64InRange(value, 1, 65535, "--port");
-      if (!parsed.ok()) return BadFlag(key, parsed.status());
-      flags->port = static_cast<int>(parsed.value());
-    } else if (key == "--cache-budget") {
-      auto parsed = ParseMemoryBudget(value);
-      if (!parsed.ok()) return BadFlag(key, parsed.status());
-      flags->cache_budget = parsed.value();
-    } else if (key == "--load") {
-      const std::string spec = value;
-      const size_t eq = spec.find('=');
-      if (eq == std::string::npos || eq == 0 || eq + 1 == spec.size()) {
-        std::fprintf(stderr, "--load wants NAME=FILE, got '%s'\n", value);
-        return false;
-      }
-      flags->loads.emplace_back(spec.substr(0, eq), spec.substr(eq + 1));
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", key.c_str());
+    const QueryOption* option =
+        query == nullptr ? nullptr : FindQueryFlag(*query->spec, key);
+    if (option != nullptr) {
+      const Status parsed = option->parse(argv[i + 1], key, query);
+      if (!parsed.ok()) return BadFlag(key, parsed);
+    } else if (!command.empty() &&
+               std::find(extra.begin(), extra.end(), key) == extra.end()) {
+      std::fprintf(stderr, "%.*s does not take %s\n",
+                   static_cast<int>(command.size()), command.data(),
+                   key.c_str());
+      return false;
+    } else if (!ParseFlag(key, argv[i + 1], flags)) {
       return false;
     }
   }
@@ -374,13 +365,18 @@ int Usage() {
                "shutdown> [args] "
                "--socket PATH | --port N "
                "[--connect-timeout MS] [--io-timeout MS] [--retries N]\n"
-               "flags: --algorithm exact|edge-sample|link-sample|weighted|auto "
-               "--ratio R --samples N --seed S --threads N (0 = all cores)\n"
-               "       count/sample: --projection materialized|lazy|auto "
-               "--memory-budget BYTES[K|M|G] (memory-bounded sampling) "
-               "--spill-dir DIR (lazy disk tier, docs/STORAGE.md)\n"
-               "       profile: --random K --sample-ratio R --epsilon E "
-               "--null chung-lu|perturb\n"
+               "flags: count/sample: --algorithm exact|edge-sample|"
+               "link-sample|weighted|auto --ratio R --samples N --seed S "
+               "--threads N (0 = all cores)\n"
+               "       count/sample, offline only: --projection "
+               "materialized|lazy|auto --memory-budget BYTES[K|M|G] "
+               "(memory-bounded sampling) --spill-dir DIR (lazy disk tier, "
+               "docs/STORAGE.md)\n"
+               "       profile, similarity: --random K --seed S "
+               "--sample-ratio R --epsilon E --null chung-lu|perturb "
+               "--threads N\n"
+               "       per-edge: --threads N; predict: --replace F --seed S "
+               "--threads N; any other flag is refused\n"
                "       stream: --window W|sliding:W "
                "--mode cumulative|tumbling|sliding --horizon H "
                "--wal PATH (crash-safe, cumulative only); "
@@ -425,36 +421,6 @@ int RunStats(const Hypergraph& graph, const Flags& flags) {
   return 0;
 }
 
-/// Both `count` and `sample` run through the engine; they differ only in
-/// the default algorithm.
-int RunEngine(const Hypergraph& graph, const Flags& flags) {
-  EngineOptions options;
-  options.algorithm = flags.algorithm;
-  options.num_threads = flags.threads;
-  options.num_samples = flags.samples;
-  options.sampling_ratio = flags.ratio;
-  options.seed = flags.seed;
-  options.projection = flags.projection;
-  options.memory_budget = flags.memory_budget;
-  options.spill_dir = flags.spill_dir;
-  auto engine = MotifEngine::Create(graph, options);
-  if (!engine.ok()) {
-    std::fprintf(stderr, "%s\n", engine.status().ToString().c_str());
-    return 2;
-  }
-  auto result = engine.value().Count(options);
-  if (!result.ok()) {
-    std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
-    return 2;
-  }
-  const MotifCounts& counts = result.value().counts;
-  std::printf("%s\n", result.value().stats.ToString().c_str());
-  std::printf("%s", counts.ToString().c_str());
-  std::printf("total: %.0f (open %.0f, closed %.0f)\n", counts.Total(),
-              counts.TotalOpen(), counts.TotalClosed());
-  return 0;
-}
-
 /// The Δ/CP/RC/RD table shared by the offline profile command and the
 /// query-mode printer (which re-derives the rows from served counts with
 /// the same pure functions, so both print bit-identical tables).
@@ -473,23 +439,180 @@ void PrintProfileTable(const MotifCounts& real, const MotifCounts& random_mean,
   }
 }
 
-int RunProfile(const Hypergraph& graph, const Flags& flags) {
-  CharacteristicProfileOptions options;
-  options.num_random_graphs = flags.random_graphs;
-  options.seed = flags.seed;
-  options.num_threads = flags.threads;
-  options.sample_ratio = flags.sample_ratio;
-  options.epsilon = flags.epsilon;
-  options.null_model = flags.null_model;
-  auto profile = ComputeCharacteristicProfile(graph, options);
-  if (!profile.ok()) {
-    std::fprintf(stderr, "%s\n", profile.status().ToString().c_str());
+/// Prints a query body in the offline commands' format. count and
+/// profile bodies decode back into MotifCounts (hex floats round-trip
+/// exactly), so their lines diff clean between offline, cold and cached
+/// runs; per-edge and predict bodies print verbatim. Returns the exit
+/// code.
+int PrintQueryBody(QueryKind kind, std::string_view body) {
+  const std::vector<std::string_view> lines = SplitLines(body);
+  auto value = [&lines](std::string_view tag) -> std::string_view {
+    for (const std::string_view line : lines) {
+      if (line.size() > tag.size() && line.substr(0, tag.size()) == tag &&
+          line[tag.size()] == ' ') {
+        return line.substr(tag.size() + 1);
+      }
+    }
+    return {};
+  };
+  switch (kind) {
+    case QueryKind::kCount: {
+      auto counts = DecodeCounts(value("counts"));
+      if (!counts.ok()) {
+        std::fprintf(stderr, "%s\n", counts.status().ToString().c_str());
+        return 2;
+      }
+      std::printf("%.*s\n", static_cast<int>(value("stats").size()),
+                  value("stats").data());
+      std::printf("%s", counts.value().ToString().c_str());
+      std::printf("total: %.0f (open %.0f, closed %.0f)\n",
+                  counts.value().Total(), counts.value().TotalOpen(),
+                  counts.value().TotalClosed());
+      return 0;
+    }
+    case QueryKind::kProfile: {
+      auto real = DecodeCounts(value("real"));
+      auto random_mean = DecodeCounts(value("random"));
+      auto epsilon = DecodeDouble(value("epsilon"));
+      if (!real.ok() || !random_mean.ok() || !epsilon.ok()) {
+        std::fprintf(stderr, "malformed profile body\n%.*s",
+                     static_cast<int>(body.size()), body.data());
+        return 2;
+      }
+      PrintProfileTable(real.value(), random_mean.value(), epsilon.value());
+      std::printf("batch: %.*s\n", static_cast<int>(value("batch").size()),
+                  value("batch").data());
+      return 0;
+    }
+    case QueryKind::kSimilarity: {
+      auto pearson = DecodeDouble(value("pearson"));
+      if (!pearson.ok()) {
+        std::fprintf(stderr, "malformed similarity body\n%.*s",
+                     static_cast<int>(body.size()), body.data());
+        return 2;
+      }
+      std::printf("pearson: %.6f\n", pearson.value());
+      return 0;
+    }
+    case QueryKind::kPerEdge:
+    case QueryKind::kPredict:
+      std::fwrite(body.data(), 1, body.size(), stdout);
+      return 0;
+  }
+  return 2;
+}
+
+/// Sends `request` to the server and prints the response: a query
+/// kind's body like the offline output plus a "cached: yes|no" line,
+/// anything else (`spec` null) as it comes. Returns the exit code.
+int SendRequest(const std::string& request, const Flags& flags,
+                const QuerySpec* spec) {
+  if (flags.socket.empty() && flags.port == 0) {
+    std::fprintf(stderr, "query: need --socket PATH or --port N\n");
+    return 1;
+  }
+  ClientOptions client_options;
+  client_options.connect_timeout_ms = flags.connect_timeout_ms;
+  client_options.io_timeout_ms = flags.io_timeout_ms;
+  client_options.backoff.max_attempts = flags.retries;
+  MotifClient client(flags.socket, flags.port, client_options);
+  if (Status s = client.Connect(); !s.ok()) {
+    std::fprintf(stderr, "%s\n", s.ToString().c_str());
     return 2;
   }
-  const CharacteristicProfile& p = profile.value();
-  PrintProfileTable(p.real_counts, p.random_mean, flags.epsilon);
-  std::printf("batch: %s\n", p.batch.ToString().c_str());
+  // --retries > 1 rides out transient failures (timeouts, overload
+  // shedding, dropped connections) with jittered exponential backoff;
+  // queries are idempotent, so redialing and resending is safe.
+  auto response = flags.retries > 1 ? client.RequestWithRetry(request)
+                                    : client.Request(request);
+  if (!response.ok()) {
+    std::fprintf(stderr, "%s\n", response.status().ToString().c_str());
+    return 2;
+  }
+  const std::string_view payload = response.value();
+  if (payload.rfind("ok ", 0) != 0) {
+    std::fprintf(stderr, "%s", response.value().c_str());
+    return 2;
+  }
+  if (spec == nullptr) {
+    std::printf("%s", response.value().c_str());
+    return 0;
+  }
+  const size_t header_end = std::min(payload.find('\n'), payload.size());
+  const std::string_view header = payload.substr(0, header_end);
+  const int status = PrintQueryBody(
+      spec->kind, payload.substr(std::min(header_end + 1, payload.size())));
+  if (status != 0) return status;
+  std::printf("cached: %s\n",
+              header.find(" cached=1") != std::string_view::npos ? "yes"
+                                                                  : "no");
   return 0;
+}
+
+/// A query kind's command, offline (`count <file> ...`, operands from
+/// argv[2]) or served (`query count <name> ...`, from argv[3]). Both
+/// build the same Query from the flags. Offline answers it in-process,
+/// through the AnswerQuery call the server makes, over graphs loaded
+/// from the operand files; served sends its EncodeQuery line.
+int RunKind(const QuerySpec& spec, std::string_view command, bool served,
+            int argc, char** argv) {
+  const int first_operand = served ? 3 : 2;
+  const int first_flag = first_operand + static_cast<int>(spec.operands);
+  if (argc < first_flag) return Usage();
+  Query query(spec);
+  // The CLI's defaults where they differ from the wire's: counting runs
+  // exact (`sample`: link-sample) at --ratio 0.05 on all cores, and
+  // per-edge on all cores. `query` sends them explicitly.
+  query.engine.algorithm =
+      command == "sample" ? Algorithm::kLinkSample : Algorithm::kExact;
+  query.engine.sampling_ratio = 0.05;
+  query.engine.num_threads = 0;
+  for (size_t i = 0; i < spec.operands; ++i) {
+    query.graphs[i] = argv[first_operand + i];
+  }
+  Flags flags;
+  std::span<const std::string_view> extra;
+  if (served) {
+    extra = kClientFlags;
+  } else if (spec.kind == QueryKind::kCount) {
+    extra = kEngineFlags;
+  }
+  if (!ParseFlags(argc, argv, first_flag, &flags, command, &query, extra)) {
+    return Usage();
+  }
+  if (served) return SendRequest(EncodeQuery(query), flags, &spec);
+
+  std::vector<Hypergraph> graphs;
+  QueryOperand operands[2];
+  for (size_t i = 0; i < spec.operands; ++i) {
+    auto graph = Load(argv[first_operand + i]);
+    if (!graph.ok()) {
+      std::fprintf(stderr, "%s\n", graph.status().ToString().c_str());
+      return 2;
+    }
+    graphs.push_back(std::move(graph).value());
+  }
+  for (size_t i = 0; i < graphs.size(); ++i) operands[i].graph = &graphs[i];
+  std::optional<MotifEngine> engine;
+  if (spec.needs_engine) {
+    EngineOptions build = query.engine;
+    build.projection = flags.projection;
+    build.memory_budget = flags.memory_budget;
+    build.spill_dir = flags.spill_dir;
+    auto created = MotifEngine::Create(graphs[0], build);
+    if (!created.ok()) {
+      std::fprintf(stderr, "%s\n", created.status().ToString().c_str());
+      return 2;
+    }
+    engine.emplace(std::move(created).value());
+    operands[0].engine = &*engine;
+  }
+  auto answer = AnswerQuery(query, operands);
+  if (!answer.ok()) {
+    std::fprintf(stderr, "%s\n", answer.status().ToString().c_str());
+    return 2;
+  }
+  return PrintQueryBody(spec.kind, answer.value().body);
 }
 
 int RunEnumerate(const Hypergraph& graph, const Flags& flags) {
@@ -507,52 +630,6 @@ int RunEnumerate(const Hypergraph& graph, const Flags& flags) {
                                    inst.j, inst.k, inst.motif);
                      });
   std::printf("(printed %zu instances; --limit to change)\n", printed);
-  return 0;
-}
-
-int RunPerEdge(const Hypergraph& graph, const Flags& flags) {
-  EngineOptions options;
-  options.num_threads = flags.threads;
-  options.projection = ProjectionPolicy::kMaterialized;
-  auto engine = MotifEngine::Create(graph, options);
-  if (!engine.ok()) {
-    std::fprintf(stderr, "%s\n", engine.status().ToString().c_str());
-    return 2;
-  }
-  auto result = engine.value().CountPerEdge(options);
-  if (!result.ok()) {
-    std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
-    return 2;
-  }
-  // The renderer is shared with the server, so this output is
-  // byte-identical to a served per-edge body (CI diffs them).
-  std::printf("%s", RenderPerEdgeBody(result.value().rows).c_str());
-  return 0;
-}
-
-int RunPredict(const char* history_path, const char* candidates_path,
-               const Flags& flags) {
-  auto history = LoadHypergraphAuto(history_path);
-  if (!history.ok()) {
-    std::fprintf(stderr, "%s\n", history.status().ToString().c_str());
-    return 2;
-  }
-  auto candidates = LoadHypergraphAuto(candidates_path);
-  if (!candidates.ok()) {
-    std::fprintf(stderr, "%s\n", candidates.status().ToString().c_str());
-    return 2;
-  }
-  PredictRequestOptions options;
-  options.replace_fraction = flags.replace;
-  options.seed = flags.seed;
-  options.num_threads = flags.threads;
-  auto body =
-      RenderPredictBody(history.value(), candidates.value(), options);
-  if (!body.ok()) {
-    std::fprintf(stderr, "%s\n", body.status().ToString().c_str());
-    return 2;
-  }
-  std::printf("%s", body.value().c_str());
   return 0;
 }
 
@@ -765,186 +842,33 @@ int RunServe(const Flags& flags) {
   return 0;
 }
 
-/// Builds the wire request for a query action; count/profile options are
-/// taken from the same flags the offline commands use, doubles encoded as
-/// exact hex-float literals so the server parses the identical value.
-std::string BuildQueryRequest(const std::string& action, char** argv,
-                              const Flags& flags) {
-  if (action == "stats" || action == "shutdown") return action;
-  if (action == "load") {
-    return std::string("load ") + argv[3] + " " + argv[4];
-  }
-  std::string request = action + " " + argv[3];
-  if (action == "similarity" || action == "predict") {
-    request += std::string(" ") + argv[4];
-  }
-  if (action == "per-edge") {
-    request += " threads=" + std::to_string(flags.threads);
-    return request;
-  }
-  if (action == "predict") {
-    // replace travels as an exact hex-float literal, like count's ratio,
-    // so the server canonicalizes the identical double into its cache key.
-    request += " replace=" + EncodeDouble(flags.replace);
-    request += " seed=" + std::to_string(flags.seed);
-    request += " threads=" + std::to_string(flags.threads);
-    return request;
-  }
-  if (action == "count") {
-    request += std::string(" algorithm=") + AlgorithmName(flags.algorithm);
-    if (flags.samples > 0) request += " samples=" + std::to_string(flags.samples);
-    request += " ratio=" + EncodeDouble(flags.ratio);
-    request += " seed=" + std::to_string(flags.seed);
-  } else {  // profile | similarity
-    request += " random=" + std::to_string(flags.random_graphs);
-    request += " seed=" + std::to_string(flags.seed);
-    request += " ratio=" + EncodeDouble(flags.sample_ratio);
-    request += " epsilon=" + EncodeDouble(flags.epsilon);
-    request += flags.null_model == NullModel::kChungLu ? " null=chung-lu"
-                                                       : " null=perturb";
-  }
-  request += " threads=" + std::to_string(flags.threads);
-  return request;
-}
-
-/// First header token whose key matches, or "" ("ok kind=count cached=1").
-std::string_view HeaderValue(const std::vector<std::string_view>& header,
-                             std::string_view key) {
-  for (const std::string_view token : header) {
-    if (token.size() > key.size() + 1 && token.substr(0, key.size()) == key &&
-        token[key.size()] == '=') {
-      return token.substr(key.size() + 1);
-    }
-  }
-  return {};
-}
-
-/// Renders a response payload in the offline commands' output format
-/// (count/profile bodies decode back into MotifCounts, so the h-motif
-/// lines diff clean against `mochy_cli count` — CI relies on this),
-/// with a trailing "cached:" line. Returns the process exit code.
-int PrintQueryResponse(const std::string& payload) {
-  const std::vector<std::string_view> lines = SplitLines(payload);
-  const std::vector<std::string_view> header =
-      lines.empty() ? std::vector<std::string_view>{}
-                    : SplitTokens(lines.front());
-  if (header.empty() || header.front() != "ok") {
-    std::fprintf(stderr, "%s", payload.c_str());
-    return 2;
-  }
-  const std::string_view kind = HeaderValue(header, "kind");
-  const char* cached =
-      HeaderValue(header, "cached") == "1" ? "yes" : "no";
-
-  auto body_value = [&lines](std::string_view tag) -> std::string_view {
-    for (size_t i = 1; i < lines.size(); ++i) {
-      if (lines[i].size() > tag.size() + 1 &&
-          lines[i].substr(0, tag.size()) == tag &&
-          lines[i][tag.size()] == ' ') {
-        return lines[i].substr(tag.size() + 1);
-      }
-    }
-    return {};
-  };
-
-  if (kind == "count") {
-    auto counts = DecodeCounts(body_value("counts"));
-    if (!counts.ok()) {
-      std::fprintf(stderr, "%s\n", counts.status().ToString().c_str());
-      return 2;
-    }
-    std::printf("%.*s\n", static_cast<int>(body_value("stats").size()),
-                body_value("stats").data());
-    std::printf("%s", counts.value().ToString().c_str());
-    std::printf("total: %.0f (open %.0f, closed %.0f)\n",
-                counts.value().Total(), counts.value().TotalOpen(),
-                counts.value().TotalClosed());
-    std::printf("cached: %s\n", cached);
-    return 0;
-  }
-  if (kind == "profile") {
-    auto real = DecodeCounts(body_value("real"));
-    auto random_mean = DecodeCounts(body_value("random"));
-    auto epsilon = DecodeDouble(body_value("epsilon"));
-    if (!real.ok() || !random_mean.ok() || !epsilon.ok()) {
-      std::fprintf(stderr, "malformed profile response\n%s", payload.c_str());
-      return 2;
-    }
-    PrintProfileTable(real.value(), random_mean.value(), epsilon.value());
-    std::printf("batch: %.*s\n", static_cast<int>(body_value("batch").size()),
-                body_value("batch").data());
-    std::printf("cached: %s\n", cached);
-    return 0;
-  }
-  if (kind == "per-edge" || kind == "predict") {
-    // The body is already the offline command's exact output (shared
-    // renderer, serve/render.h); print it verbatim so CI can diff the
-    // two byte-for-byte, then append the cache marker.
-    for (size_t i = 1; i < lines.size(); ++i) {
-      std::printf("%.*s\n", static_cast<int>(lines[i].size()),
-                  lines[i].data());
-    }
-    std::printf("cached: %s\n", cached);
-    return 0;
-  }
-  if (kind == "similarity") {
-    auto pearson = DecodeDouble(body_value("pearson"));
-    if (!pearson.ok()) {
-      std::fprintf(stderr, "malformed similarity response\n%s",
-                   payload.c_str());
-      return 2;
-    }
-    std::printf("pearson: %.6f\n", pearson.value());
-    std::printf("cached: %s\n", cached);
-    return 0;
-  }
-  // load / stats / shutdown: the payload is already human-readable.
-  std::printf("%s", payload.c_str());
-  return 0;
-}
-
+/// `query <action> [operands] [flags]`: a query kind runs served
+/// through RunKind; load, stats and shutdown send their words as they
+/// are.
 int RunQuery(int argc, char** argv) {
   if (argc < 3) return Usage();
-  const std::string action = argv[2];
-  int positionals;
-  if (action == "count" || action == "profile" || action == "per-edge") {
-    positionals = 1;
-  } else if (action == "similarity" || action == "load" ||
-             action == "predict") {
-    positionals = 2;
+  const std::string_view action = argv[2];
+  if (const QuerySpec* spec = FindQuerySpec(action)) {
+    return RunKind(*spec, action, /*served=*/true, argc, argv);
+  }
+  int first_flag;
+  if (action == "load") {
+    first_flag = 5;
   } else if (action == "stats" || action == "shutdown") {
-    positionals = 0;
+    first_flag = 3;
   } else {
-    std::fprintf(stderr, "unknown query action '%s'\n", action.c_str());
+    std::fprintf(stderr, "unknown query action '%s'\n", argv[2]);
     return Usage();
   }
-  if (argc < 3 + positionals) return Usage();
+  if (argc < first_flag) return Usage();
   Flags flags;
-  if (!ParseFlags(argc, argv, 3 + positionals, &flags)) return Usage();
-  if (flags.socket.empty() && flags.port == 0) {
-    std::fprintf(stderr, "query: need --socket PATH or --port N\n");
-    return 1;
+  if (!ParseFlags(argc, argv, first_flag, &flags, action, nullptr,
+                  kClientFlags)) {
+    return Usage();
   }
-  ClientOptions client_options;
-  client_options.connect_timeout_ms = flags.connect_timeout_ms;
-  client_options.io_timeout_ms = flags.io_timeout_ms;
-  client_options.backoff.max_attempts = flags.retries;
-  MotifClient client(flags.socket, flags.port, client_options);
-  if (Status s = client.Connect(); !s.ok()) {
-    std::fprintf(stderr, "%s\n", s.ToString().c_str());
-    return 2;
-  }
-  // --retries > 1 rides out transient failures (timeouts, overload
-  // shedding, dropped connections) with jittered exponential backoff;
-  // queries are idempotent, so redialing and resending is safe.
-  const std::string request = BuildQueryRequest(action, argv, flags);
-  auto response = flags.retries > 1 ? client.RequestWithRetry(request)
-                                    : client.Request(request);
-  if (!response.ok()) {
-    std::fprintf(stderr, "%s\n", response.status().ToString().c_str());
-    return 2;
-  }
-  return PrintQueryResponse(response.value());
+  std::string request(action);
+  for (int i = 3; i < first_flag; ++i) (request += ' ') += argv[i];
+  return SendRequest(request, flags, nullptr);
 }
 
 }  // namespace
@@ -972,17 +896,18 @@ int main(int argc, char** argv) {
     if (!ParseFlags(argc, argv, 3, &flags)) return Usage();
     return RunStream(argv[2], flags);
   }
-  if (command == "predict") {
-    if (argc < 4 || !ParseFlags(argc, argv, 4, &flags)) return Usage();
-    return RunPredict(argv[2], argv[3], flags);
-  }
   if (command == "convert") {
     if (argc != 4) return Usage();
     return RunConvert(argv[2], argv[3]);
   }
-  // `sample` only changes the default algorithm; an explicit --algorithm
-  // flag still wins.
-  if (command == "sample") flags.algorithm = Algorithm::kLinkSample;
+  // The query kinds (`sample` is count with another default algorithm)
+  // run through the query table. similarity is served only: there is no
+  // offline two-graph profile command.
+  const QuerySpec* spec =
+      FindQuerySpec(command == "sample" ? std::string("count") : command);
+  if (spec != nullptr && spec->kind != QueryKind::kSimilarity) {
+    return RunKind(*spec, command, /*served=*/false, argc, argv);
+  }
   if (!ParseFlags(argc, argv, 3, &flags)) return Usage();
   auto graph = Load(argv[2]);
   if (!graph.ok()) {
@@ -990,11 +915,6 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (command == "stats") return RunStats(graph.value(), flags);
-  if (command == "count" || command == "sample") {
-    return RunEngine(graph.value(), flags);
-  }
-  if (command == "profile") return RunProfile(graph.value(), flags);
   if (command == "enumerate") return RunEnumerate(graph.value(), flags);
-  if (command == "per-edge") return RunPerEdge(graph.value(), flags);
   return Usage();
 }

@@ -311,21 +311,6 @@ EngineOptions MotifEngine::Canonicalize(const EngineOptions& options) const {
   return canonical;
 }
 
-std::string EngineOptionsCacheKey(const EngineOptions& options) {
-  char buffer[128];
-  if (options.algorithm == Algorithm::kExact) {
-    std::snprintf(buffer, sizeof(buffer), "alg=exact");
-  } else {
-    std::snprintf(buffer, sizeof(buffer),
-                  "alg=%s samples=%llu seed=%llu variance=%d",
-                  AlgorithmName(options.algorithm),
-                  static_cast<unsigned long long>(options.num_samples),
-                  static_cast<unsigned long long>(options.seed),
-                  options.estimate_variance ? 1 : 0);
-  }
-  return buffer;
-}
-
 Result<EngineResult> MotifEngine::Count(const EngineOptions& options) const {
   const Algorithm algorithm = ResolveAuto(options);
   // The ratio only matters when a sampling strategy actually derives its

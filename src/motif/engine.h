@@ -221,15 +221,6 @@ struct EngineStats {
   std::string ToString() const;
 };
 
-/// Serializes a CANONICALIZED EngineOptions (MotifEngine::Canonicalize)
-/// into a short stable text key holding exactly the count-relevant
-/// fields — "alg=exact", or "alg=link-sample samples=5000 seed=7
-/// variance=0". The serve-layer result cache prepends the query kind and
-/// graph fingerprint to form its full key. Passing a non-canonical
-/// options struct defeats the cache-sharing guarantee (two equivalent
-/// requests would key differently) but is otherwise harmless.
-std::string EngineOptionsCacheKey(const EngineOptions& options);
-
 /// Counts plus the statistics of the run that produced them.
 struct EngineResult {
   /// Counts (exact) or unbiased estimates (sampling) per h-motif.
@@ -333,7 +324,7 @@ class MotifEngine {
   /// Normalizes `options` to the canonical form two calls share exactly
   /// when Count() is guaranteed to return bit-identical counts for them
   /// on this engine's graph — the equivalence the serve-layer result
-  /// cache is keyed by (EngineOptionsCacheKey serializes the result).
+  /// cache keys count queries by (serve/query.h serializes the result).
   /// Resolves kAuto to the concrete strategy and a zero num_samples to
   /// the derived sample count, then zeroes every field that cannot
   /// affect results: num_threads (counting is thread-count-invariant),

@@ -1,14 +1,10 @@
 /// \file
-/// Response-body renderers shared by the offline CLI and the server.
+/// Renderers of the two multi-line query bodies: per-edge rows and the
+/// Table-4 prediction report.
 ///
-/// The serving layer's determinism contract (serve/server.h) is
-/// "served == offline, byte for byte". For count and profile queries
-/// that holds because both paths call the same counting functions and
-/// encode with the same EncodeCounts/EncodeDouble helpers. The per-edge
-/// and predict workloads produce larger, multi-line bodies, so the
-/// rendering itself lives here and both `mochy_cli per-edge`/`predict`
-/// and MotifServer's handlers call these functions — byte identity is
-/// by construction, not by parallel maintenance of two formatters.
+/// The query table (serve/query.h) computes the per-edge and predict
+/// bodies through these functions, for the server and the offline CLI
+/// alike, so the two print the same bytes by construction.
 ///
 /// All numeric payloads are C99 hex-float literals (serve/protocol.h),
 /// so a diff of an offline body against a served (cold or cached) body
@@ -21,6 +17,7 @@
 
 #include "common/status.h"
 #include "hypergraph/hypergraph.h"
+#include "ml/features.h"
 #include "motif/engine.h"
 
 namespace mochy {
@@ -34,21 +31,6 @@ namespace mochy {
 /// graph content.
 std::string RenderPerEdgeBody(const PerEdgeCounts& rows);
 
-/// Options of a Table-4 prediction request; mirrors
-/// PredictionTaskOptions (ml/features.h) plus nothing else — the
-/// train/test split fraction (0.3) and split seed (17) are fixed so the
-/// body is a pure function of (history, candidates, these options).
-struct PredictRequestOptions {
-  /// Fraction of members replaced when fabricating fake candidates.
-  double replace_fraction = 0.5;
-  /// Seed of the fake-candidate fabrication.
-  uint64_t seed = 1;
-  /// Worker budget; 0 means all cores. Never changes the body
-  /// (feature rows are bit-identical at every thread count and the
-  /// classifiers are seed-deterministic), so cache keys omit it.
-  size_t num_threads = 0;
-};
-
 /// Runs the full Table-4 pipeline — fabricate one fake per candidate,
 /// extract HM26/HM7/HC features over history+candidates+fakes, train
 /// the five reference classifiers on each feature set — and renders
@@ -57,11 +39,14 @@ struct PredictRequestOptions {
 ///   model <name> <set> acc=<hex> auc=<hex>   (5 names x 3 sets)
 /// Candidates are `candidates`' hyperedges with at least two members
 /// (smaller edges cannot be perturbed into fakes and are skipped).
-/// Deterministic in (history, candidates, options): repeated calls are
-/// byte-identical.
+/// The train/test split (30% held out, split seed 17) is fixed, so the
+/// body is deterministic in (history, candidates, options): repeated
+/// calls are byte-identical. options.num_threads never changes it
+/// (feature rows are bit-identical at every thread count and the
+/// classifiers are seed-deterministic), so cache keys omit it.
 Result<std::string> RenderPredictBody(const Hypergraph& history,
                                       const Hypergraph& candidates,
-                                      const PredictRequestOptions& options = {});
+                                      const PredictionTaskOptions& options = {});
 
 }  // namespace mochy
 

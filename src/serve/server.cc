@@ -8,20 +8,16 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <optional>
+#include <span>
 #include <utility>
 
 #include "common/fault.h"
 #include "common/parallel.h"
-#include "common/parse.h"
 #include "common/thread_pool.h"
 #include "hypergraph/fingerprint.h"
 #include "hypergraph/binary_format.h"
 #include "hypergraph/io.h"
-#include "profile/significance.h"
-#include "profile/similarity.h"
 #include "serve/protocol.h"
-#include "serve/render.h"
 
 namespace mochy {
 
@@ -43,111 +39,11 @@ std::string ErrorResponse(const Status& status) {
          status.message() + "\n";
 }
 
-std::string Hex16(uint64_t value) {
-  char buffer[24];
-  std::snprintf(buffer, sizeof(buffer), "%016llx",
-                static_cast<unsigned long long>(value));
-  return buffer;
-}
-
-/// One `key=value` token split at the first '='; empty key on mismatch.
-std::pair<std::string_view, std::string_view> SplitKeyValue(
-    std::string_view token) {
-  const size_t eq = token.find('=');
-  if (eq == std::string_view::npos || eq == 0) return {{}, {}};
-  return {token.substr(0, eq), token.substr(eq + 1)};
-}
-
-/// Parses the count-query options (`algorithm= samples= ratio= seed=
-/// threads= variance=`) from `tokens[first..]`.
-Status ParseCountOptions(const std::vector<std::string_view>& tokens,
-                         size_t first, EngineOptions* options) {
-  for (size_t i = first; i < tokens.size(); ++i) {
-    const auto [key, value] = SplitKeyValue(tokens[i]);
-    if (key == "algorithm") {
-      MOCHY_ASSIGN_OR_RETURN(options->algorithm, ParseAlgorithm(value));
-    } else if (key == "samples") {
-      MOCHY_ASSIGN_OR_RETURN(options->num_samples, ParseUint64(value));
-    } else if (key == "ratio") {
-      MOCHY_ASSIGN_OR_RETURN(options->sampling_ratio,
-                             ParsePositiveDouble(value, "ratio"));
-    } else if (key == "seed") {
-      MOCHY_ASSIGN_OR_RETURN(options->seed, ParseUint64(value));
-    } else if (key == "threads") {
-      MOCHY_ASSIGN_OR_RETURN(
-          uint64_t threads,
-          ParseUint64InRange(value, 0, 4096, "threads"));
-      options->num_threads = static_cast<size_t>(threads);
-    } else if (key == "variance") {
-      MOCHY_ASSIGN_OR_RETURN(uint64_t flag,
-                             ParseUint64InRange(value, 0, 1, "variance"));
-      options->estimate_variance = flag != 0;
-    } else {
-      return Status::InvalidArgument("unknown count option '" +
-                                     std::string(tokens[i]) + "'");
-    }
-  }
-  return Status::OK();
-}
-
-/// Parses the profile-query options shared by profile and similarity.
-Status ParseProfileOptions(const std::vector<std::string_view>& tokens,
-                           size_t first,
-                           CharacteristicProfileOptions* options) {
-  for (size_t i = first; i < tokens.size(); ++i) {
-    const auto [key, value] = SplitKeyValue(tokens[i]);
-    if (key == "random") {
-      MOCHY_ASSIGN_OR_RETURN(uint64_t random,
-                             ParseUint64InRange(value, 1, 100000, "random"));
-      options->num_random_graphs = static_cast<int>(random);
-    } else if (key == "seed") {
-      MOCHY_ASSIGN_OR_RETURN(options->seed, ParseUint64(value));
-    } else if (key == "ratio") {
-      // < 0 means exact counting, so any finite value is legal here.
-      MOCHY_ASSIGN_OR_RETURN(options->sample_ratio, ParseDouble(value));
-    } else if (key == "epsilon") {
-      MOCHY_ASSIGN_OR_RETURN(options->epsilon, ParseDouble(value));
-    } else if (key == "null") {
-      if (value == "chung-lu") {
-        options->null_model = NullModel::kChungLu;
-      } else if (value == "perturb") {
-        options->null_model = NullModel::kPerturb;
-      } else {
-        return Status::InvalidArgument("unknown null model '" +
-                                       std::string(value) +
-                                       "' (want chung-lu|perturb)");
-      }
-    } else if (key == "perturb") {
-      MOCHY_ASSIGN_OR_RETURN(options->perturb_fraction,
-                             ParseDouble(value));
-    } else if (key == "threads") {
-      MOCHY_ASSIGN_OR_RETURN(
-          uint64_t threads,
-          ParseUint64InRange(value, 0, 4096, "threads"));
-      options->num_threads = static_cast<size_t>(threads);
-    } else {
-      return Status::InvalidArgument("unknown profile option '" +
-                                     std::string(tokens[i]) + "'");
-    }
-  }
-  return Status::OK();
-}
-
-/// The cache key of a profile body: every option that can change the
-/// profile, doubles encoded exactly. num_threads is deliberately absent
-/// (the pipeline is thread-count-invariant, motif/engine.h).
-std::string ProfileCacheKey(uint64_t fingerprint,
-                            const CharacteristicProfileOptions& options) {
-  std::string key = "profile fp=" + Hex16(fingerprint);
-  key += " random=" + std::to_string(options.num_random_graphs);
-  key += " seed=" + std::to_string(options.seed);
-  key += " ratio=" + EncodeDouble(options.sample_ratio);
-  key += " epsilon=" + EncodeDouble(options.epsilon);
-  key += options.null_model == NullModel::kChungLu ? " null=chung-lu"
-                                                   : " null=perturb";
-  key += " perturb=" + EncodeDouble(options.perturb_fraction);
-  return key;
-}
+/// The per-kind query counters of ServerStats, in QueryKind order.
+constexpr uint64_t ServerStats::*kKindQueries[] = {
+    &ServerStats::count_queries, &ServerStats::profile_queries,
+    &ServerStats::similarity_queries, &ServerStats::per_edge_queries,
+    &ServerStats::predict_queries};
 
 }  // namespace
 
@@ -243,261 +139,62 @@ std::string MotifServer::HandleLoad(
   GraphEntry* entry = FindGraph(name);
   char line[256];
   std::snprintf(line, sizeof(line),
-                "ok kind=load name=%s fingerprint=%s nodes=%zu edges=%zu "
-                "pins=%llu\n",
-                name.c_str(), Hex16(entry->fingerprint).c_str(),
+                "ok kind=load name=%s fingerprint=%016llx nodes=%zu "
+                "edges=%zu pins=%llu\n",
+                name.c_str(),
+                static_cast<unsigned long long>(entry->fingerprint),
                 entry->graph.num_nodes(), entry->graph.num_edges(),
                 static_cast<unsigned long long>(entry->graph.num_pins()));
   return line;
 }
 
-std::string MotifServer::HandleCount(
-    const std::vector<std::string_view>& tokens) {
-  if (tokens.size() < 2) {
-    return ErrorResponse(
-        Status::InvalidArgument("usage: count <name> [key=value ...]"));
+std::string MotifServer::HandleQuery(
+    const QuerySpec& spec, const std::vector<std::string_view>& tokens) {
+  if (tokens.size() < 1 + spec.operands) {
+    return ErrorResponse(Status::InvalidArgument(std::string(spec.usage)));
   }
-  GraphEntry* entry = FindGraph(std::string(tokens[1]));
-  if (entry == nullptr) {
-    return ErrorResponse(Status::NotFound(
-        "graph '" + std::string(tokens[1]) + "' is not loaded"));
+  Query query(spec);
+  QueryOperand operands[2];
+  for (size_t i = 0; i < spec.operands; ++i) {
+    query.graphs[i] = tokens[1 + i];
+    const GraphEntry* entry = FindGraph(std::string(tokens[1 + i]));
+    if (entry == nullptr) {
+      return ErrorResponse(Status::NotFound(
+          "graph '" + std::string(tokens[1 + i]) + "' is not loaded"));
+    }
+    operands[i] = {&entry->graph, entry->engine.get(), entry->fingerprint};
   }
-  EngineOptions requested;
-  if (Status s = ParseCountOptions(tokens, 2, &requested); !s.ok()) {
+  const std::span<const std::string_view> options(
+      tokens.data() + 1 + spec.operands, tokens.size() - 1 - spec.operands);
+  if (Status s = ParseQueryOptions(options, &query); !s.ok()) {
     return ErrorResponse(s);
   }
-  const EngineOptions canonical = entry->engine->Canonicalize(requested);
-  const std::string key =
-      "count fp=" + Hex16(entry->fingerprint) + " " +
-      EngineOptionsCacheKey(canonical);
+  auto answer = AnswerQuery(query, operands, &cache_);
+  if (!answer.ok()) return ErrorResponse(answer.status());
 
-  bool cached = true;
-  std::optional<std::string> body = cache_.Get(key);
-  if (!body.has_value()) {
-    cached = false;
-    // Execute with the canonical options (results are identical by the
-    // Canonicalize() contract) but the requested thread budget (purely
-    // a scheduling knob).
-    EngineOptions exec = canonical;
-    exec.num_threads = requested.num_threads;
-    auto result = entry->engine->Count(exec);
-    if (!result.ok()) return ErrorResponse(result.status());
-    body = "stats " + result.value().stats.ToString() + "\n" +
-           "counts " + EncodeCounts(result.value().counts) + "\n";
-    cache_.Put(key, *body);
+  const std::string& body = answer.value().body;
+  const int cached = answer.value().cached ? 1 : 0;
+  const auto verb = static_cast<int>(spec.verb.size());
+  const auto first = static_cast<int>(query.graphs[0].size());
+  const auto second = static_cast<int>(query.graphs[1].size());
+  char header[512];  // names are at most 128 bytes (ValidGraphName)
+  if (spec.operands == 1) {
+    std::snprintf(header, sizeof(header),
+                  "ok kind=%.*s graph=%.*s fingerprint=%016llx cached=%d\n",
+                  verb, spec.verb.data(), first, query.graphs[0].data(),
+                  static_cast<unsigned long long>(operands[0].fingerprint),
+                  cached);
+  } else {
+    std::snprintf(header, sizeof(header),
+                  "ok kind=%.*s graphs=%.*s,%.*s cached=%d\n", verb,
+                  spec.verb.data(), first, query.graphs[0].data(), second,
+                  query.graphs[1].data(), cached);
   }
-  return "ok kind=count graph=" + std::string(tokens[1]) +
-         " fingerprint=" + Hex16(entry->fingerprint) +
-         " cached=" + (cached ? "1" : "0") + "\n" + *body;
-}
-
-Result<std::string> MotifServer::ProfileBody(
-    GraphEntry* entry, const std::vector<std::string_view>& tokens,
-    bool* cached) {
-  CharacteristicProfileOptions options;
-  MOCHY_RETURN_IF_ERROR(ParseProfileOptions(tokens, 2, &options));
-  const std::string key = ProfileCacheKey(entry->fingerprint, options);
-  *cached = true;
-  std::optional<std::string> body = cache_.Get(key);
-  if (!body.has_value()) {
-    *cached = false;
-    auto profile = ComputeCharacteristicProfile(entry->graph, options);
-    if (!profile.ok()) return profile.status();
-    body = "batch " + profile.value().batch.ToString() + "\n" +
-           "real " + EncodeCounts(profile.value().real_counts) + "\n" +
-           "random " + EncodeCounts(profile.value().random_mean) + "\n" +
-           "epsilon " + EncodeDouble(options.epsilon) + "\n";
-    cache_.Put(key, *body);
-  }
-  return *body;
-}
-
-std::string MotifServer::HandleProfile(
-    const std::vector<std::string_view>& tokens) {
-  if (tokens.size() < 2) {
-    return ErrorResponse(
-        Status::InvalidArgument("usage: profile <name> [key=value ...]"));
-  }
-  GraphEntry* entry = FindGraph(std::string(tokens[1]));
-  if (entry == nullptr) {
-    return ErrorResponse(Status::NotFound(
-        "graph '" + std::string(tokens[1]) + "' is not loaded"));
-  }
-  bool cached = false;
-  auto body = ProfileBody(entry, tokens, &cached);
-  if (!body.ok()) return ErrorResponse(body.status());
-  return "ok kind=profile graph=" + std::string(tokens[1]) +
-         " fingerprint=" + Hex16(entry->fingerprint) +
-         " cached=" + (cached ? "1" : "0") + "\n" + body.value();
-}
-
-std::string MotifServer::HandleSimilarity(
-    const std::vector<std::string_view>& tokens) {
-  if (tokens.size() < 3) {
-    return ErrorResponse(Status::InvalidArgument(
-        "usage: similarity <name1> <name2> [key=value ...]"));
-  }
-  GraphEntry* first = FindGraph(std::string(tokens[1]));
-  GraphEntry* second = FindGraph(std::string(tokens[2]));
-  if (first == nullptr || second == nullptr) {
-    return ErrorResponse(Status::NotFound(
-        "graph '" +
-        std::string(first == nullptr ? tokens[1] : tokens[2]) +
-        "' is not loaded"));
-  }
-  // The per-graph profile bodies carry the cost and are shared with
-  // plain profile queries through the same cache entries; the
-  // correlation itself is recomputed from them each time.
-  // ProfileBody reads options from index 2 on, so hand it tokens shaped
-  // like a profile request: [cmd, <name>, options...].
-  std::vector<std::string_view> profile_tokens = tokens;
-  profile_tokens.erase(profile_tokens.begin() + 2);  // drop <name2>
-  bool first_cached = false, second_cached = false;
-  auto first_body = ProfileBody(first, profile_tokens, &first_cached);
-  if (!first_body.ok()) return ErrorResponse(first_body.status());
-  profile_tokens = tokens;
-  profile_tokens.erase(profile_tokens.begin() + 1);  // drop <name1>
-  auto second_body = ProfileBody(second, profile_tokens, &second_cached);
-  if (!second_body.ok()) return ErrorResponse(second_body.status());
-
-  // Decode real/random/epsilon back out of the cached bodies and derive
-  // each CP with the same pure functions the offline pipeline uses.
-  auto cp_of = [](const std::string& text) -> Result<std::vector<double>> {
-    MotifCounts real, random;
-    double epsilon = 1.0;
-    for (const std::string_view line : SplitLines(text)) {
-      if (line.rfind("real ", 0) == 0) {
-        MOCHY_ASSIGN_OR_RETURN(real, DecodeCounts(line.substr(5)));
-      } else if (line.rfind("random ", 0) == 0) {
-        MOCHY_ASSIGN_OR_RETURN(random, DecodeCounts(line.substr(7)));
-      } else if (line.rfind("epsilon ", 0) == 0) {
-        MOCHY_ASSIGN_OR_RETURN(epsilon, DecodeDouble(line.substr(8)));
-      }
-    }
-    const ProfileVector cp =
-        NormalizeProfile(ComputeSignificance(real, random, epsilon));
-    return std::vector<double>(cp.begin(), cp.end());
-  };
-  auto first_cp = cp_of(first_body.value());
-  if (!first_cp.ok()) return ErrorResponse(first_cp.status());
-  auto second_cp = cp_of(second_body.value());
-  if (!second_cp.ok()) return ErrorResponse(second_cp.status());
-  const double pearson =
-      PearsonCorrelation(first_cp.value(), second_cp.value());
-
-  return "ok kind=similarity graphs=" + std::string(tokens[1]) + "," +
-         std::string(tokens[2]) +
-         " cached=" + ((first_cached && second_cached) ? "1" : "0") + "\n" +
-         "pearson " + EncodeDouble(pearson) + "\n";
-}
-
-std::string MotifServer::HandlePerEdge(
-    const std::vector<std::string_view>& tokens) {
-  if (tokens.size() < 2) {
-    return ErrorResponse(
-        Status::InvalidArgument("usage: per-edge <name> [threads=N]"));
-  }
-  GraphEntry* entry = FindGraph(std::string(tokens[1]));
-  if (entry == nullptr) {
-    return ErrorResponse(Status::NotFound(
-        "graph '" + std::string(tokens[1]) + "' is not loaded"));
-  }
-  EngineOptions options;
-  for (size_t i = 2; i < tokens.size(); ++i) {
-    const auto [key, value] = SplitKeyValue(tokens[i]);
-    if (key == "threads") {
-      auto threads = ParseUint64InRange(value, 0, 4096, "threads");
-      if (!threads.ok()) return ErrorResponse(threads.status());
-      options.num_threads = static_cast<size_t>(threads.value());
-    } else {
-      return ErrorResponse(Status::InvalidArgument(
-          "unknown per-edge option '" + std::string(tokens[i]) +
-          "' (only threads=N; per-edge counts are always exact)"));
-    }
-  }
-  // Exact and thread-count-invariant, so the key is the graph alone.
-  const std::string key = "per-edge fp=" + Hex16(entry->fingerprint);
-  bool cached = true;
-  std::optional<std::string> body = cache_.Get(key);
-  if (!body.has_value()) {
-    cached = false;
-    auto result = entry->engine->CountPerEdge(options);
-    if (!result.ok()) return ErrorResponse(result.status());
-    body = RenderPerEdgeBody(result.value().rows);
-    if (body->size() + 256 > kMaxFrameBytes) {
-      return ErrorResponse(Status::OutOfRange(
-          "per-edge body of " + std::to_string(body->size()) +
-          " bytes exceeds the frame cap (" + std::to_string(kMaxFrameBytes) +
-          "); run the offline CLI for graphs this large"));
-    }
-    cache_.Put(key, *body);
-  }
-  return "ok kind=per-edge graph=" + std::string(tokens[1]) +
-         " fingerprint=" + Hex16(entry->fingerprint) +
-         " cached=" + (cached ? "1" : "0") + "\n" + *body;
-}
-
-std::string MotifServer::HandlePredict(
-    const std::vector<std::string_view>& tokens) {
-  if (tokens.size() < 3) {
-    return ErrorResponse(Status::InvalidArgument(
-        "usage: predict <history> <candidates> [replace=R] [seed=S] "
-        "[threads=N]"));
-  }
-  GraphEntry* history = FindGraph(std::string(tokens[1]));
-  GraphEntry* candidates = FindGraph(std::string(tokens[2]));
-  if (history == nullptr || candidates == nullptr) {
-    return ErrorResponse(Status::NotFound(
-        "graph '" +
-        std::string(history == nullptr ? tokens[1] : tokens[2]) +
-        "' is not loaded"));
-  }
-  PredictRequestOptions options;
-  for (size_t i = 3; i < tokens.size(); ++i) {
-    const auto [key, value] = SplitKeyValue(tokens[i]);
-    if (key == "replace") {
-      auto replace = ParseDouble(value);
-      if (!replace.ok()) return ErrorResponse(replace.status());
-      if (!(replace.value() > 0.0 && replace.value() <= 1.0)) {
-        return ErrorResponse(Status::InvalidArgument(
-            "replace must be in (0, 1], got '" + std::string(value) + "'"));
-      }
-      options.replace_fraction = replace.value();
-    } else if (key == "seed") {
-      auto seed = ParseUint64(value);
-      if (!seed.ok()) return ErrorResponse(seed.status());
-      options.seed = seed.value();
-    } else if (key == "threads") {
-      auto threads = ParseUint64InRange(value, 0, 4096, "threads");
-      if (!threads.ok()) return ErrorResponse(threads.status());
-      options.num_threads = static_cast<size_t>(threads.value());
-    } else {
-      return ErrorResponse(Status::InvalidArgument(
-          "unknown predict option '" + std::string(tokens[i]) +
-          "' (want replace=R seed=S threads=N)"));
-    }
-  }
-  // replace goes through EncodeDouble so every spelling of the same
-  // double ("0.5", "0.50", "0x1p-1") canonicalizes to one cache entry;
-  // threads is absent (the body is thread-count-invariant, render.h).
-  const std::string key =
-      "predict fp=" + Hex16(history->fingerprint) + " fp=" +
-      Hex16(candidates->fingerprint) + " replace=" +
-      EncodeDouble(options.replace_fraction) + " seed=" +
-      std::to_string(options.seed);
-  bool cached = true;
-  std::optional<std::string> body = cache_.Get(key);
-  if (!body.has_value()) {
-    cached = false;
-    auto rendered =
-        RenderPredictBody(history->graph, candidates->graph, options);
-    if (!rendered.ok()) return ErrorResponse(rendered.status());
-    body = std::move(rendered).value();
-    cache_.Put(key, *body);
-  }
-  return "ok kind=predict graphs=" + std::string(tokens[1]) + "," +
-         std::string(tokens[2]) +
-         " cached=" + (cached ? "1" : "0") + "\n" + *body;
+  std::string response;
+  response.reserve(std::strlen(header) + body.size());
+  response += header;
+  response += body;
+  return response;
 }
 
 std::string MotifServer::HandleStats() {
@@ -510,18 +207,11 @@ std::string MotifServer::HandleRequest(const std::string& request) {
   const std::vector<std::string_view> tokens =
       lines.empty() ? std::vector<std::string_view>{}
                     : SplitTokens(lines.front());
-  std::string response;
   const std::string_view command = tokens.empty() ? "" : tokens.front();
-  if (command == "count") {
-    response = HandleCount(tokens);
-  } else if (command == "profile") {
-    response = HandleProfile(tokens);
-  } else if (command == "similarity") {
-    response = HandleSimilarity(tokens);
-  } else if (command == "per-edge") {
-    response = HandlePerEdge(tokens);
-  } else if (command == "predict") {
-    response = HandlePredict(tokens);
+  const QuerySpec* spec = FindQuerySpec(command);
+  std::string response;
+  if (spec != nullptr) {
+    response = HandleQuery(*spec, tokens);
   } else if (command == "load") {
     response = HandleLoad(tokens);
   } else if (command == "stats") {
@@ -539,11 +229,9 @@ std::string MotifServer::HandleRequest(const std::string& request) {
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     ++stats_.queries;
-    if (command == "count") ++stats_.count_queries;
-    if (command == "profile") ++stats_.profile_queries;
-    if (command == "similarity") ++stats_.similarity_queries;
-    if (command == "per-edge") ++stats_.per_edge_queries;
-    if (command == "predict") ++stats_.predict_queries;
+    if (spec != nullptr) {
+      ++(stats_.*kKindQueries[static_cast<size_t>(spec->kind)]);
+    }
     if (response.rfind("error", 0) == 0) ++stats_.errors;
   }
   return response;

@@ -6,17 +6,23 @@
 /// content fingerprint and a ready MotifEngine), queries arrive as
 /// protocol frames (serve/protocol.h) over a unix-domain or loopback
 /// TCP socket, and results are answered from a **byte-budgeted LRU
-/// result cache** keyed by (graph fingerprint, canonicalized
-/// EngineOptions) before any counting happens. Repeat traffic — the
-/// workload the ROADMAP's service tier targets — costs one cache lookup
-/// plus one frame write.
+/// result cache** before any counting happens. Repeat traffic costs one
+/// cache lookup plus one frame write.
+///
+/// \par One query path
+/// Every query kind is a row of the query table (serve/query.h), and
+/// HandleRequest runs each the same way: tokenize, look up the kind,
+/// resolve the graph operands in the registry, parse the options, build
+/// the cache key (graph fingerprints plus canonical options), get or
+/// compute the body, add the header line. The offline CLI answers the
+/// same Query through the same AnswerQuery call, without the cache.
 ///
 /// \par Request grammar (payload first line)
 ///   load <name> <path>                       register a graph from disk
 ///   count <name> [algorithm=A] [samples=N] [ratio=R] [seed=S]
 ///                [threads=N] [variance=0|1]  counts / estimates
 ///   profile <name> [random=K] [seed=S] [ratio=R] [epsilon=E]
-///                  [null=chung-lu|perturb] [threads=N]
+///                  [null=chung-lu|perturb] [perturb=F] [threads=N]
 ///   similarity <name1> <name2> [profile keys...]   CP Pearson correlation
 ///   per-edge <name> [threads=N]              exact per-edge motif rows
 ///   predict <history> <candidates> [replace=R] [seed=S] [threads=N]
@@ -37,12 +43,11 @@
 /// lifetime of the server; the result cache is internally synchronized.
 ///
 /// \par Determinism
-/// A served response is built from the same Count()/profile calls the
-/// offline CLI makes, and cache keys canonicalize exactly the fields
-/// that cannot change results (MotifEngine::Canonicalize) — so a cached
-/// answer is bit-identical to the cold answer, which is bit-identical to
-/// an offline run with the same options (asserted in-run by the
-/// bench_report serving scenario and by CI's serve smoke job).
+/// Cache keys canonicalize exactly the options that cannot change a body
+/// (MotifEngine::Canonicalize for counts; the thread count everywhere),
+/// so a cached answer is bit-identical to the cold answer, which is
+/// bit-identical to the offline CLI's (asserted by tests/query_test.cc,
+/// by the bench_report serving scenario and by CI's serve smoke job).
 #ifndef MOCHY_SERVE_SERVER_H_
 #define MOCHY_SERVE_SERVER_H_
 
@@ -60,6 +65,7 @@
 #include "common/status.h"
 #include "hypergraph/hypergraph.h"
 #include "motif/engine.h"
+#include "serve/query.h"
 
 namespace mochy {
 
@@ -157,17 +163,11 @@ class MotifServer {
 
   GraphEntry* FindGraph(const std::string& name);
   std::string HandleLoad(const std::vector<std::string_view>& tokens);
-  std::string HandleCount(const std::vector<std::string_view>& tokens);
-  std::string HandleProfile(const std::vector<std::string_view>& tokens);
-  std::string HandleSimilarity(const std::vector<std::string_view>& tokens);
-  std::string HandlePerEdge(const std::vector<std::string_view>& tokens);
-  std::string HandlePredict(const std::vector<std::string_view>& tokens);
+  /// Every query kind's one path: resolve the operands, parse the
+  /// options, answer through the result cache, add the header line.
+  std::string HandleQuery(const QuerySpec& spec,
+                          const std::vector<std::string_view>& tokens);
   std::string HandleStats();
-  /// The profile body shared by profile and similarity queries (cached;
-  /// `cached` reports whether this call was served from the cache).
-  Result<std::string> ProfileBody(GraphEntry* entry,
-                                  const std::vector<std::string_view>& tokens,
-                                  bool* cached);
   void HandleConnection(int fd);
 
   const ServeOptions options_;

@@ -12,6 +12,7 @@
 #include "motif/mochy_e.h"
 #include "motif/mochy_weighted.h"
 #include "motif/per_edge.h"
+#include "serve/query.h"
 #include "tests/test_util.h"
 
 namespace mochy {
@@ -332,7 +333,10 @@ TEST(MotifEngineWeightedTest, CanonicalizeAndCacheKey) {
   EXPECT_EQ(canonical.seed, 7u);
   EXPECT_EQ(canonical.num_threads, 0u);
   EXPECT_FALSE(canonical.estimate_variance);
-  const std::string key = EngineOptionsCacheKey(canonical);
+  Query query(*FindQuerySpec("count"));
+  query.engine = options;
+  const QueryOperand operand{&g, &engine, 0};
+  const std::string key = QueryCacheKey(*query.spec, query, &operand);
   EXPECT_NE(key.find("alg=weighted"), std::string::npos) << key;
   EXPECT_NE(key.find("samples=123"), std::string::npos) << key;
   EXPECT_NE(key.find("seed=7"), std::string::npos) << key;

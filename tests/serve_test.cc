@@ -21,6 +21,7 @@
 #include "motif/engine.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
+#include "serve/query.h"
 #include "serve/render.h"
 #include "serve/server.h"
 #include "tests/test_util.h"
@@ -34,6 +35,14 @@ Hypergraph TestGraph(uint64_t seed = 17) {
 
 // ---------------------------------------------------------------- keys --
 
+/// The cache key of a count query with `options` on `engine`'s graph.
+std::string CountKey(const MotifEngine& engine, const EngineOptions& options) {
+  Query query(*FindQuerySpec("count"));
+  query.engine = options;
+  const QueryOperand operand{&engine.graph(), &engine, 0};
+  return QueryCacheKey(*query.spec, query, &operand);
+}
+
 TEST(CacheKeyTest, SchedulingKnobsCanonicalizeAway) {
   const Hypergraph g = TestGraph();
   const MotifEngine engine = MotifEngine::Create(g).value();
@@ -43,8 +52,7 @@ TEST(CacheKeyTest, SchedulingKnobsCanonicalizeAway) {
   tuned.num_threads = 2;  // explicit thread count
   tuned.projection = ProjectionPolicy::kLazy;
   tuned.memory_budget = ParseMemoryBudget("1M").value();
-  EXPECT_EQ(EngineOptionsCacheKey(engine.Canonicalize(defaults)),
-            EngineOptionsCacheKey(engine.Canonicalize(tuned)));
+  EXPECT_EQ(CountKey(engine, defaults), CountKey(engine, tuned));
 
   // Memory-budget suffix variants parse to the same bytes and (either
   // way) cannot affect counts, so they land on the same entry.
@@ -52,8 +60,7 @@ TEST(CacheKeyTest, SchedulingKnobsCanonicalizeAway) {
   suffixed.memory_budget = ParseMemoryBudget("1048576").value();
   EXPECT_EQ(ParseMemoryBudget("1M").value(),
             ParseMemoryBudget("1048576").value());
-  EXPECT_EQ(EngineOptionsCacheKey(engine.Canonicalize(tuned)),
-            EngineOptionsCacheKey(engine.Canonicalize(suffixed)));
+  EXPECT_EQ(CountKey(engine, tuned), CountKey(engine, suffixed));
 }
 
 TEST(CacheKeyTest, ExactIgnoresSamplingFields) {
@@ -65,8 +72,7 @@ TEST(CacheKeyTest, ExactIgnoresSamplingFields) {
   b.seed = 99;  // seed cannot affect an exact count
   b.num_samples = 1234;
   b.sampling_ratio = 0.5;
-  EXPECT_EQ(EngineOptionsCacheKey(engine.Canonicalize(a)),
-            EngineOptionsCacheKey(engine.Canonicalize(b)));
+  EXPECT_EQ(CountKey(engine, a), CountKey(engine, b));
 }
 
 TEST(CacheKeyTest, SamplerSeedAndAlgorithmMatter) {
@@ -79,18 +85,15 @@ TEST(CacheKeyTest, SamplerSeedAndAlgorithmMatter) {
 
   EngineOptions other_seed = base;
   other_seed.seed = 2;
-  EXPECT_NE(EngineOptionsCacheKey(engine.Canonicalize(base)),
-            EngineOptionsCacheKey(engine.Canonicalize(other_seed)));
+  EXPECT_NE(CountKey(engine, base), CountKey(engine, other_seed));
 
   EngineOptions other_algorithm = base;
   other_algorithm.algorithm = Algorithm::kEdgeSample;
-  EXPECT_NE(EngineOptionsCacheKey(engine.Canonicalize(base)),
-            EngineOptionsCacheKey(engine.Canonicalize(other_algorithm)));
+  EXPECT_NE(CountKey(engine, base), CountKey(engine, other_algorithm));
 
   EngineOptions other_samples = base;
   other_samples.num_samples = 501;
-  EXPECT_NE(EngineOptionsCacheKey(engine.Canonicalize(base)),
-            EngineOptionsCacheKey(engine.Canonicalize(other_samples)));
+  EXPECT_NE(CountKey(engine, base), CountKey(engine, other_samples));
 }
 
 TEST(CacheKeyTest, DerivedAndExplicitSampleCountsUnify) {
@@ -110,8 +113,7 @@ TEST(CacheKeyTest, DerivedAndExplicitSampleCountsUnify) {
   by_count.algorithm = Algorithm::kLinkSample;
   by_count.num_samples = canonical.num_samples;
   by_count.seed = 3;
-  EXPECT_EQ(EngineOptionsCacheKey(canonical),
-            EngineOptionsCacheKey(engine.Canonicalize(by_count)));
+  EXPECT_EQ(CountKey(engine, by_ratio), CountKey(engine, by_count));
 }
 
 // -------------------------------------------------------------- LRU --
@@ -365,7 +367,7 @@ TEST(MotifServerTest, PredictColdAndCachedMatchOfflineByteForByte) {
   EXPECT_NE(warm.find("cached=1"), std::string::npos);
 
   // Offline reference: the exact renderer `mochy_cli predict` prints.
-  PredictRequestOptions options;
+  PredictionTaskOptions options;
   options.replace_fraction = 0.5;
   options.seed = 3;
   const std::string offline =
