@@ -3,17 +3,10 @@
 //
 // Paper shape to verify: for every classifier HM26 >= HM7 > HC; using
 // h-motif features beats the hand-crafted baseline throughout.
-#include <memory>
-
 #include "bench/bench_util.h"
 #include "gen/generators.h"
-#include "ml/decision_tree.h"
+#include "ml/evaluate.h"
 #include "ml/features.h"
-#include "ml/knn.h"
-#include "ml/logistic.h"
-#include "ml/metrics.h"
-#include "ml/mlp.h"
-#include "ml/random_forest.h"
 
 int main() {
   using namespace mochy;
@@ -27,11 +20,8 @@ int main() {
   future_config.seed = 200;
   future_config.num_edges = history_config.num_edges / 3;
   const Hypergraph future = GenerateDomainHypergraph(future_config).value();
-  std::vector<std::vector<NodeId>> candidates;
-  for (EdgeId e = 0; e < future.num_edges(); ++e) {
-    const auto span = future.edge(e);
-    if (span.size() >= 2) candidates.emplace_back(span.begin(), span.end());
-  }
+  const std::vector<std::vector<NodeId>> candidates =
+      PredictionCandidates(future);
 
   PredictionTaskOptions task_options;
   task_options.seed = 3;
@@ -41,41 +31,18 @@ int main() {
   std::printf("history %zu edges; %zu real + %zu fake candidates\n",
               history.num_edges(), candidates.size(), candidates.size());
 
-  struct Entry {
-    const char* name;
-    std::unique_ptr<Classifier> (*make)();
-  };
-  const Entry classifiers[] = {
-      {"Logistic Regression",
-       [] { return std::unique_ptr<Classifier>(new LogisticRegression()); }},
-      {"Random Forest",
-       [] { return std::unique_ptr<Classifier>(new RandomForest()); }},
-      {"Decision Tree",
-       [] { return std::unique_ptr<Classifier>(new DecisionTree()); }},
-      {"K-Nearest Neighbors",
-       [] { return std::unique_ptr<Classifier>(new KNearestNeighbors()); }},
-      {"MLP Classifier",
-       [] { return std::unique_ptr<Classifier>(new MlpClassifier()); }},
-  };
-  const Dataset* sets[] = {&task.hm26, &task.hm7, &task.hc};
+  const auto rows = EvaluatePredictionTask(task);
+  if (!rows.ok()) return 1;
 
   std::printf("\n%-22s | %6s %6s %6s | %6s %6s %6s\n", "classifier",
               "HM26", "HM7", "HC", "HM26", "HM7", "HC");
   std::printf("%-22s | %20s | %20s\n", "", "ACC", "AUC");
   int hm_beats_hc = 0;
-  for (const Entry& entry : classifiers) {
-    double acc[3], auc[3];
-    for (int s = 0; s < 3; ++s) {
-      Dataset train, test;
-      if (!TrainTestSplit(*sets[s], 0.3, 17, &train, &test).ok()) return 1;
-      auto clf = entry.make();
-      if (!clf->Fit(train).ok()) return 1;
-      const auto scores = clf->PredictAll(test);
-      acc[s] = Accuracy(test.labels, scores);
-      auc[s] = AucScore(test.labels, scores);
-    }
+  for (const ClassifierScores& row : rows.value()) {
+    const auto& acc = row.accuracy;
+    const auto& auc = row.auc;
     std::printf("%-22s | %6.3f %6.3f %6.3f | %6.3f %6.3f %6.3f\n",
-                entry.name, acc[0], acc[1], acc[2], auc[0], auc[1], auc[2]);
+                row.title, acc[0], acc[1], acc[2], auc[0], auc[1], auc[2]);
     if (auc[0] > auc[2] && auc[1] > auc[2]) ++hm_beats_hc;
   }
   std::printf("\nshape check: h-motif features beat HC for %d/5 classifiers "

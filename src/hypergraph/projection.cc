@@ -101,16 +101,6 @@ Result<ProjectedGraph> ProjectedGraph::Build(const Hypergraph& graph,
   }
   out.num_wedges_ = wedges;
   out.total_weight_ = total_weight;
-
-  // O(1) pair-weight probes for the MoCHy-E inner loop.
-  out.weight_map_ = FlatMap64<uint32_t>(wedges);
-  for (size_t e = 0; e < m; ++e) {
-    const auto span = out.neighbors(static_cast<EdgeId>(e));
-    for (size_t i = out.suffix_start_[e]; i < span.size(); ++i) {
-      out.weight_map_.Put(PackPair(static_cast<EdgeId>(e), span[i].edge),
-                          span[i].weight);
-    }
-  }
   return out;
 }
 
@@ -118,17 +108,25 @@ uint64_t ProjectedGraph::MemoryBytes() const {
   return offsets_.size() * sizeof(uint64_t) +
          adj_.size() * sizeof(Neighbor) +
          wedge_offsets_.size() * sizeof(uint64_t) +
-         suffix_start_.size() * sizeof(uint32_t) + weight_map_.MemoryBytes();
+         suffix_start_.size() * sizeof(uint32_t);
 }
 
-std::pair<EdgeId, EdgeId> ProjectedGraph::WedgeAt(uint64_t k) const {
+uint32_t ProjectedGraph::Weight(EdgeId a, EdgeId b) const {
+  const auto nbrs = neighbors(a);
+  const auto it = std::lower_bound(
+      nbrs.begin(), nbrs.end(), b,
+      [](const Neighbor& n, EdgeId id) { return n.edge < id; });
+  return it != nbrs.end() && it->edge == b ? it->weight : 0;
+}
+
+std::pair<EdgeId, Neighbor> ProjectedGraph::WedgeAt(uint64_t k) const {
   MOCHY_DCHECK(k < num_wedges_);
   // Find the source edge via binary search over the wedge prefix sums.
   const auto it = std::upper_bound(wedge_offsets_.begin(),
                                    wedge_offsets_.end(), k);
   const size_t e = static_cast<size_t>(it - wedge_offsets_.begin()) - 1;
   const EdgeId ei = static_cast<EdgeId>(e);
-  return {ei, upper_neighbors(ei)[k - wedge_offsets_[e]].edge};
+  return {ei, upper_neighbors(ei)[k - wedge_offsets_[e]]};
 }
 
 ProjectedDegrees ComputeProjectedDegrees(const Hypergraph& graph,
@@ -175,14 +173,9 @@ uint64_t EstimateProjectionBytes(const ProjectedDegrees& degrees) {
   const size_t m = degrees.degree.size();
   uint64_t adjacency = 0;
   for (uint32_t d : degrees.degree) adjacency += d;
-  // Mirror FlatMap64's sizing: capacity is the first power of two keeping
-  // the load factor <= 7/8 for |∧| entries, doubled by the constructor.
-  uint64_t cap = 16;
-  while (cap * 7 < degrees.num_wedges * 8) cap <<= 1;
-  const uint64_t map_bytes = cap * 2 * (sizeof(uint64_t) + sizeof(uint32_t));
   return (m + 1) * sizeof(uint64_t) * 2 +  // offsets_ + wedge_offsets_
          m * sizeof(uint32_t) +            // suffix_start_
-         adjacency * sizeof(Neighbor) + map_bytes;
+         adjacency * sizeof(Neighbor);
 }
 
 }  // namespace mochy

@@ -3,10 +3,13 @@
 ///
 /// Hyperedges become vertices; two are adjacent iff they share a node,
 /// with weight omega = |e_i ∩ e_j|. Every MoCHy variant runs on this
-/// structure. Both adjacency directions are materialized (neighbor lists
-/// per edge, sorted by neighbor id), hyperwedges {i, j} are indexable for
-/// uniform sampling (MoCHy-A+), and an open-addressing table provides the
-/// O(1) pair weight probes the MoCHy-E inner loop needs.
+/// structure. It is CSR only: both adjacency directions are materialized
+/// (neighbor lists per edge, sorted by neighbor id), and hyperwedges
+/// {i, j} are indexable for uniform sampling (MoCHy-A+). There is no
+/// pair-weight table: the counting kernels read ω from the neighbor lists
+/// they already walk (scattered into stamp arrays, see
+/// motif/stamp_kernels.h), and Weight(a, b) is a binary search for cold
+/// callers.
 ///
 /// Materializing all of this costs O(|E| + Σ_e |N_e|) memory
 /// (MemoryBytes() reports it exactly, EstimateProjectionBytes() predicts
@@ -22,7 +25,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/flat_map.h"
 #include "common/status.h"
 #include "hypergraph/hypergraph.h"
 
@@ -66,9 +68,8 @@ class NeighborhoodBuilder {
   std::vector<EdgeId> touched_;
 };
 
-/// The materialized projected graph: CSR adjacency over hyperedges, the
-/// hyperwedge index, and the O(1) pair-weight table. Immutable once
-/// built; safe to share across threads.
+/// The materialized projected graph: CSR adjacency over hyperedges and the
+/// hyperwedge index. Immutable once built; safe to share across threads.
 class ProjectedGraph {
  public:
   /// An empty projection (no edges); assign a Build() result into it.
@@ -99,24 +100,24 @@ class ProjectedGraph {
   /// |∧| — total number of hyperwedges (unordered adjacent pairs).
   uint64_t num_wedges() const { return num_wedges_; }
 
-  /// omega({a, b}); 0 when the edges are not adjacent. O(1) expected.
-  uint32_t Weight(EdgeId a, EdgeId b) const {
-    if (a == b) return 0;
-    return weight_map_.GetOr(PackPair(a, b), 0);
-  }
+  /// omega({a, b}); 0 when the edges are not adjacent or a == b. A binary
+  /// search of neighbors(a), O(log |N_a|): for tests and cold callers, not
+  /// for hot loops, which stamp a neighborhood instead.
+  uint32_t Weight(EdgeId a, EdgeId b) const;
 
-  /// The k-th hyperwedge, k in [0, num_wedges()), as (i, j) with i < j.
-  /// Wedges are ordered by (i, then j); used for uniform wedge sampling.
-  std::pair<EdgeId, EdgeId> WedgeAt(uint64_t k) const;
+  /// The k-th hyperwedge, k in [0, num_wedges()), as e_i and the entry of
+  /// e_j (with ω_ij) in N(e_i), i < j. Wedges are ordered by (i, then j);
+  /// used for uniform wedge sampling.
+  std::pair<EdgeId, Neighbor> WedgeAt(uint64_t k) const;
 
   /// Sum over all wedges of omega (useful for Lemma 1 cost accounting and
   /// for the weighted wedge sampler).
   uint64_t total_weight() const { return total_weight_; }
 
   /// Heap footprint in bytes of the materialized structure (CSR adjacency,
-  /// offsets, wedge index, pair-weight table). This is the number the
-  /// engine's memory-bounded projection policy compares against its byte
-  /// budget; see docs/MEMORY.md for the accounting model.
+  /// offsets, wedge index). This is the number the engine's memory-bounded
+  /// projection policy compares against its byte budget; see
+  /// docs/MEMORY.md for the accounting model.
   uint64_t MemoryBytes() const;
 
  private:
@@ -124,7 +125,6 @@ class ProjectedGraph {
   std::vector<Neighbor> adj_;                 // both directions
   std::vector<uint64_t> wedge_offsets_ = {0};  // prefix of #wedges (j > i)
   std::vector<uint32_t> suffix_start_;        // index in neighbors(e) of first j > e
-  FlatMap64<uint32_t> weight_map_;            // PackPair(i,j) -> omega
   uint64_t num_wedges_ = 0;
   uint64_t total_weight_ = 0;
 };
@@ -147,11 +147,11 @@ struct ProjectedDegrees {
 ProjectedDegrees ComputeProjectedDegrees(const Hypergraph& graph,
                                          size_t num_threads = 1);
 
-/// Predicts ProjectedGraph::Build(graph).MemoryBytes() from the wedge
-/// index alone, in O(1), without materializing anything: the adjacency is
-/// Σ_e |N_e| entries, the pair-weight table is sized from |∧| exactly as
-/// Build() sizes it. Used by the engine's kAuto projection policy to pick
-/// lazy vs. materialized against a byte budget.
+/// Predicts ProjectedGraph::Build(graph).MemoryBytes() exactly from the
+/// wedge index alone, in O(|E|), without materializing anything: Σ_e |N_e|
+/// adjacency entries plus the per-edge offsets and wedge index. Used by
+/// the engine's kAuto projection policy to pick lazy vs. materialized
+/// against a byte budget.
 uint64_t EstimateProjectionBytes(const ProjectedDegrees& degrees);
 
 }  // namespace mochy

@@ -5,9 +5,12 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <string_view>
+#include <type_traits>
 
 #include "common/fault.h"
 
@@ -17,27 +20,72 @@ namespace {
 
 constexpr size_t kRecordHeaderBytes = 8;  // u32 payload_len + u32 checksum
 constexpr size_t kNeighborWireBytes = 8;  // u32 edge + u32 weight
+// Neighbors are written and read as their own bytes.
+static_assert(sizeof(Neighbor) == kNeighborWireBytes &&
+              std::is_trivially_copyable_v<Neighbor>);
 // Guards the reader against a corrupt length prefix asking for an
 // absurd allocation; generous next to any real neighborhood.
 constexpr uint32_t kMaxPayloadBytes = 1u << 30;
 
+// Word-at-a-time hash of a record payload: each 8-byte word, and the
+// zero-padded tail, is folded in by a multiply and an xor-shift, both
+// bijections of the 64-bit state, so any change to one word changes the
+// state; a final avalanche spreads it into the 32 bits kept. Spill files
+// never outlive the process that wrote them, so the words are read in
+// host byte order and no on-disk format is fixed.
 uint32_t Checksum32(const unsigned char* data, size_t len) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (size_t i = 0; i < len; ++i) {
-    h ^= data[i];
-    h *= 0x100000001b3ULL;
+  constexpr uint64_t kMul = 0x9e3779b97f4a7c15ULL;
+  uint64_t h = 0xcbf29ce484222325ULL ^ len;
+  size_t i = 0;
+  for (; i + 8 <= len; i += 8) {
+    uint64_t word;
+    std::memcpy(&word, data + i, 8);
+    h = (h ^ word) * kMul;
+    h ^= h >> 29;
   }
+  if (i < len) {
+    uint64_t word = 0;
+    std::memcpy(&word, data + i, len - i);
+    h = (h ^ word) * kMul;
+    h ^= h >> 29;
+  }
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
   return static_cast<uint32_t>(h ^ (h >> 32));
 }
 
-void PutU32(std::vector<unsigned char>* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back((v >> (8 * i)) & 0xff);
-}
+void PutU32(unsigned char* p, uint32_t v) { std::memcpy(p, &v, sizeof v); }
 
 uint32_t GetU32(const unsigned char* p) {
   uint32_t v;
   std::memcpy(&v, p, sizeof v);
   return v;
+}
+
+constexpr std::string_view kKeyPrefix = "spill##";  // + "<edge>##<count>\n"
+
+// Parses the key at the start of [text, end); returns the byte after its
+// newline, or nullptr when the key is malformed.
+const char* ParseKey(const char* text, const char* end, uint32_t* edge,
+                     size_t* count) {
+  if (static_cast<size_t>(end - text) < kKeyPrefix.size() ||
+      std::memcmp(text, kKeyPrefix.data(), kKeyPrefix.size()) != 0) {
+    return nullptr;
+  }
+  const auto [after_edge, edge_error] =
+      std::from_chars(text + kKeyPrefix.size(), end, *edge);
+  if (edge_error != std::errc() || end - after_edge < 2 ||
+      after_edge[0] != '#' || after_edge[1] != '#') {
+    return nullptr;
+  }
+  const auto [after_count, count_error] =
+      std::from_chars(after_edge + 2, end, *count);
+  if (count_error != std::errc() || after_count == end ||
+      *after_count != '\n') {
+    return nullptr;
+  }
+  return after_count + 1;
 }
 
 // pwrite() the whole buffer at `offset`, retrying partial writes.
@@ -96,21 +144,16 @@ bool SpillLog::Append(EdgeId e, std::span<const Neighbor> neighbors) {
   const int key_len =
       std::snprintf(key, sizeof key, "spill##%" PRIu32 "##%zu\n",
                     static_cast<uint32_t>(e), neighbors.size());
-
-  std::vector<unsigned char> payload;
-  payload.reserve(static_cast<size_t>(key_len) +
-                  neighbors.size() * kNeighborWireBytes);
-  payload.insert(payload.end(), key, key + key_len);
-  for (const Neighbor& n : neighbors) {
-    PutU32(&payload, n.edge);
-    PutU32(&payload, n.weight);
-  }
-
-  std::vector<unsigned char> record;
-  record.reserve(kRecordHeaderBytes + payload.size());
-  PutU32(&record, static_cast<uint32_t>(payload.size()));
-  PutU32(&record, Checksum32(payload.data(), payload.size()));
-  record.insert(record.end(), payload.begin(), payload.end());
+  const auto* words = reinterpret_cast<const unsigned char*>(neighbors.data());
+  std::vector<unsigned char> record(kRecordHeaderBytes);
+  record.reserve(kRecordHeaderBytes + static_cast<size_t>(key_len) +
+                 neighbors.size_bytes());
+  record.insert(record.end(), key, key + key_len);
+  record.insert(record.end(), words, words + neighbors.size_bytes());
+  const size_t payload_len = record.size() - kRecordHeaderBytes;
+  PutU32(record.data(), static_cast<uint32_t>(payload_len));
+  PutU32(record.data() + 4,
+         Checksum32(record.data() + kRecordHeaderBytes, payload_len));
 
   size_t write_bytes = record.size();
   const FaultAction fault = MOCHY_FAULT_POINT("spill.append");
@@ -143,51 +186,38 @@ bool SpillLog::ReadRecord(const RecordRef& ref, EdgeId expect,
       ref.length - kRecordHeaderBytes > kMaxPayloadBytes) {
     return false;
   }
-  std::vector<unsigned char> record(ref.length);
+  // The record lands in *out's own storage, and its neighbor words are
+  // then slid to the front: no buffer of its own per read.
+  out->resize((ref.length + sizeof(Neighbor) - 1) / sizeof(Neighbor));
+  unsigned char* record = reinterpret_cast<unsigned char*>(out->data());
 
-  size_t read_bytes = record.size();
+  size_t read_bytes = ref.length;
   const FaultAction fault = MOCHY_FAULT_POINT("spill.read");
   if (fault.kind == FaultAction::Kind::kError) return false;
   if (fault.kind == FaultAction::Kind::kShortIo) {
     read_bytes = std::min(read_bytes, fault.max_bytes);
   }
-  if (!PreadAll(fd_, record.data(), read_bytes, ref.offset)) return false;
-  if (read_bytes < record.size()) return false;  // short read: torn record
+  if (!PreadAll(fd_, record, read_bytes, ref.offset)) return false;
+  if (read_bytes < ref.length) return false;  // short read: torn record
 
-  const uint32_t payload_len = GetU32(record.data());
+  const uint32_t payload_len = GetU32(record);
   if (payload_len != ref.length - kRecordHeaderBytes) return false;
-  const unsigned char* payload = record.data() + kRecordHeaderBytes;
-  if (GetU32(record.data() + 4) != Checksum32(payload, payload_len)) {
-    return false;
-  }
+  const unsigned char* payload = record + kRecordHeaderBytes;
+  if (GetU32(record + 4) != Checksum32(payload, payload_len)) return false;
 
-  // Parse the delimited key: "spill##<edge>##<count>\n".
   const char* text = reinterpret_cast<const char*>(payload);
-  const void* newline = std::memchr(text, '\n', payload_len);
-  if (newline == nullptr) return false;
-  const size_t key_len =
-      static_cast<size_t>(static_cast<const char*>(newline) - text) + 1;
-  const std::string key(text, key_len);  // NUL-terminate for sscanf
+  const char* const end = text + payload_len;
   uint32_t edge = 0;
   size_t count = 0;
-  char trailer = 0;
-  if (std::sscanf(key.c_str(), "spill##%" SCNu32 "##%zu%c", &edge, &count,
-                  &trailer) != 3 ||
-      trailer != '\n' || edge != expect) {
+  const char* words = ParseKey(text, end, &edge, &count);
+  if (words == nullptr || edge != expect) return false;
+  const size_t word_bytes = static_cast<size_t>(end - words);
+  if (word_bytes % kNeighborWireBytes != 0 ||
+      word_bytes / kNeighborWireBytes != count) {
     return false;
   }
-  if (payload_len - key_len != count * kNeighborWireBytes) return false;
-
-  out->clear();
-  out->reserve(count);
-  const unsigned char* cursor = payload + key_len;
-  for (size_t i = 0; i < count; ++i) {
-    Neighbor n;
-    n.edge = GetU32(cursor);
-    n.weight = GetU32(cursor + 4);
-    out->push_back(n);
-    cursor += kNeighborWireBytes;
-  }
+  std::memmove(out->data(), words, word_bytes);
+  out->resize(count);
   return true;
 }
 

@@ -5,14 +5,16 @@
 // next touch re-admits from disk instead of recomputing the incidence
 // sweep.
 //
-// Record layout mirrors the streaming WAL (length-prefixed, checksummed,
-// little-endian):
+// Record layout mirrors the streaming WAL (length-prefixed, checksummed),
+// in host byte order, since a log never outlives the process that wrote
+// it:
 //
 //   [u32 payload_len][u32 checksum32(payload)][payload]
 //   payload = "spill##<edge_id>##<count>\n" + count × {u32 edge, u32 weight}
 //
 // The textual delimited key makes records self-describing and greppable;
-// the checksum covers the whole payload. The log is strictly
+// the checksum, a word-at-a-time hash (8 payload bytes per step, the tail
+// zero-padded), covers the whole payload. The log is strictly
 // per-engine-lifetime scratch: created truncated, unlinked on
 // destruction, keyed by edge id with latest-record-wins semantics (an
 // in-memory index maps edge id → file extent; superseded records are

@@ -11,6 +11,15 @@
 
 namespace mochy {
 
+std::vector<std::vector<NodeId>> PredictionCandidates(const Hypergraph& graph) {
+  std::vector<std::vector<NodeId>> candidates;
+  for (EdgeId e = 0; e < graph.num_edges(); ++e) {
+    const auto span = graph.edge(e);
+    if (span.size() >= 2) candidates.emplace_back(span.begin(), span.end());
+  }
+  return candidates;
+}
+
 std::vector<std::vector<double>> ComputeHandcraftedFeatures(
     const Hypergraph& graph) {
   // Per-node neighbor counts (distinct co-members over incident edges).

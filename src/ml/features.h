@@ -39,6 +39,11 @@ struct PredictionTask {
   std::array<int, 7> hm7_feature_indices{};
 };
 
+/// The hyperedges of `graph` with at least two members, as node lists:
+/// the candidates of a prediction task (a smaller edge cannot be
+/// perturbed into a fake).
+std::vector<std::vector<NodeId>> PredictionCandidates(const Hypergraph& graph);
+
 /// Builds the task: for every candidate (a real hyperedge of the target
 /// period), one fake counterpart is fabricated by member replacement, a
 /// combined hypergraph (history + real + fake candidates) is formed, and

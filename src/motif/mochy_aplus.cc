@@ -74,12 +74,11 @@ MotifCounts CountMotifsWedgeSample(const Hypergraph& graph,
       [&](size_t) {
         return [&](uint64_t k, ScratchArena& arena,
                    internal::MotifCensus& census) {
-          const auto [ei, ej] = projection.WedgeAt(k);
-          const uint64_t w_ij = projection.Weight(ei, ej);
-          MOCHY_DCHECK(w_ij > 0);
-          internal::WedgeCensus(source, classify, ei, ej, w_ij,
-                                projection.neighbors(ei),
-                                projection.neighbors(ej), arena, census);
+          const auto [ei, picked] = projection.WedgeAt(k);
+          internal::WedgeCensus(source, classify, ei, picked.edge,
+                                picked.weight, projection.neighbors(ei),
+                                projection.neighbors(picked.edge), arena,
+                                census);
         };
       });
   return RescaleWedgeEstimates(raw, wedges, options.num_samples);

@@ -5,11 +5,30 @@
 #include <vector>
 
 #include "common/alias_table.h"
+#include "common/flat_map.h"
+#include "common/hash.h"
 #include "common/logging.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 
 namespace mochy::reference {
+
+namespace {
+
+/// ω({a, b}) for every hyperwedge, keyed by PackPair: the O(1) pair-weight
+/// probe these kernels were written against. The materialized projection
+/// keeps no such table, so the oracle builds its own.
+FlatMap64<uint32_t> PairWeights(const ProjectedGraph& projection) {
+  FlatMap64<uint32_t> weights(projection.num_wedges());
+  for (EdgeId e = 0; e < projection.num_edges(); ++e) {
+    for (const Neighbor& n : projection.upper_neighbors(e)) {
+      weights.Put(PackPair(e, n.edge), n.weight);
+    }
+  }
+  return weights;
+}
+
+}  // namespace
 
 MotifCounts CountMotifsExact(const Hypergraph& graph,
                              const ProjectedGraph& projection,
@@ -18,6 +37,7 @@ MotifCounts CountMotifsExact(const Hypergraph& graph,
   MOCHY_CHECK(projection.num_edges() == m)
       << "projection does not match hypergraph";
   if (num_threads == 0) num_threads = DefaultThreadCount();
+  const FlatMap64<uint32_t> weights = PairWeights(projection);
 
   std::vector<MotifCounts> partial(num_threads);
   // Work stealing over hubs, one atomic claim per hub: per-hub work is
@@ -38,7 +58,7 @@ MotifCounts CountMotifsExact(const Hypergraph& graph,
         const uint64_t size_j = graph.edge_size(ej);
         for (size_t b = a + 1; b < nbrs.size(); ++b) {
           const EdgeId ek = nbrs[b].edge;
-          const uint64_t w_jk = projection.Weight(ej, ek);
+          const uint64_t w_jk = weights.GetOr(PackPair(ej, ek), 0);
           // Count open instances at their unique hub; closed instances
           // only from the smallest hub id (Algorithm 2, line 4).
           if (w_jk != 0 && ei >= std::min(ej, ek)) continue;
@@ -67,9 +87,11 @@ namespace {
 
 /// Processes one sampled hyperedge e_i: visits every h-motif instance that
 /// contains e_i and increments raw counts. `stamp` is an |E|-sized scratch
-/// with stamp[e] = omega(e_i, e) for e in N(e_i), 0 elsewhere.
+/// with stamp[e] = omega(e_i, e) for e in N(e_i), 0 elsewhere; `weights`
+/// is PairWeights(projection).
 void ProcessSampledEdge(const Hypergraph& graph,
-                        const ProjectedGraph& projection, EdgeId ei,
+                        const ProjectedGraph& projection,
+                        const FlatMap64<uint32_t>& weights, EdgeId ei,
                         std::vector<uint32_t>& stamp, MotifCounts& raw) {
   const auto nbrs = projection.neighbors(ei);
   for (const Neighbor& n : nbrs) stamp[n.edge] = n.weight;
@@ -85,7 +107,7 @@ void ProcessSampledEdge(const Hypergraph& graph,
       const EdgeId ek = nbrs[b].edge;
       const uint64_t w_ik = nbrs[b].weight;
       const uint64_t size_k = graph.edge_size(ek);
-      const uint64_t w_jk = projection.Weight(ej, ek);
+      const uint64_t w_jk = weights.GetOr(PackPair(ej, ek), 0);
       const uint64_t w_ijk =
           w_jk == 0 ? 0 : graph.TripleIntersectionSize(ei, ej, ek);
       // id 0 = triple with duplicated hyperedges (no h-motif, Figure 4).
@@ -194,6 +216,7 @@ MotifCounts CountMotifsEdgeSample(const Hypergraph& graph,
   }
   std::vector<MotifCounts> partial(num_threads);
   const Rng base(options.seed);
+  const FlatMap64<uint32_t> weights = PairWeights(projection);
 
   auto worker = [&](size_t thread) {
     std::vector<uint32_t> stamp(m, 0);
@@ -201,7 +224,8 @@ MotifCounts CountMotifsEdgeSample(const Hypergraph& graph,
       // Per-sample fork: the estimate is identical for any thread count.
       Rng rng = base.Fork(n);
       const EdgeId ei = static_cast<EdgeId>(rng.UniformInt(m));
-      ProcessSampledEdge(graph, projection, ei, stamp, partial[thread]);
+      ProcessSampledEdge(graph, projection, weights, ei, stamp,
+                         partial[thread]);
     }
   };
   ParallelWorkers(num_threads, worker);
@@ -236,12 +260,10 @@ MotifCounts CountMotifsWedgeSample(const Hypergraph& graph,
     for (uint64_t n = thread; n < options.num_samples; n += num_threads) {
       Rng rng = base.Fork(n);
       const uint64_t k = rng.UniformInt(wedges);
-      const auto [ei, ej] = projection.WedgeAt(k);
-      const uint64_t w_ij = projection.Weight(ei, ej);
-      MOCHY_DCHECK(w_ij > 0);
-      ProcessWedge(graph, ei, ej, w_ij, projection.neighbors(ei),
-                   projection.neighbors(ej), stamp_i, stamp_j,
-                   partial[thread]);
+      const auto [ei, picked] = projection.WedgeAt(k);
+      ProcessWedge(graph, ei, picked.edge, picked.weight,
+                   projection.neighbors(ei), projection.neighbors(picked.edge),
+                   stamp_i, stamp_j, partial[thread]);
     }
   };
   ParallelWorkers(num_threads, worker);

@@ -39,9 +39,9 @@
 //     neighbors(e) -> N(e) with weights, valid until the next call
 // (ProjectionSource, LazySource, DynamicHypergraph; a plain Hypergraph
 // serves WedgeCensus, whose neighborhoods — NeighborhoodBuilder output in
-// the weighted sampler — are passed in). The hub primitive also probes
-// Weight(a, b). The outer neighborhood a primitive iterates is passed in
-// explicitly and must stay valid for the whole call.
+// the weighted sampler — are passed in). The hub primitive needs every
+// neighborhood sorted by edge id. The outer neighborhood a primitive
+// iterates is passed in explicitly and must stay valid for the whole call.
 //
 // Three dense-scratch tricks keep the step cheap (ForEachClosedTriple
 // stamps w(e_i, ·) over N⁺(e_i), counts all triple intersections of a
@@ -153,7 +153,6 @@ struct ProjectionSource {
   std::span<const Neighbor> neighbors(EdgeId e) const {
     return projection.neighbors(e);
   }
-  uint32_t Weight(EdgeId a, EdgeId b) const { return projection.Weight(a, b); }
 
   const Hypergraph& graph;
   const ProjectedGraph& projection;
@@ -221,10 +220,11 @@ uint64_t StampedTripleIntersection(const Source& source, EdgeId ek,
   return count;
 }
 
-/// Every instance hubbed at e_i (`nbrs` = N(e_i)): pairs {e_j, e_k} of
-/// N(e_i), open instances at their unique hub and closed ones only from
-/// the smallest hub id (Algorithm 2, line 4). Visits pairs in (a, b)
-/// position order. Uses arena.edge_weight and both node sets.
+/// Every instance hubbed at e_i (`nbrs` = N(e_i), sorted by edge id):
+/// pairs {e_j, e_k} of N(e_i), open instances at their unique hub and
+/// closed ones only from the smallest hub id (Algorithm 2, line 4). Visits
+/// pairs in (a, b) position order. Uses arena.edge_weight and both node
+/// sets.
 template <typename Source, typename Sink>
 void ForEachHubTriple(Source& source, EdgeId ei, std::span<const Neighbor> nbrs,
                       ScratchArena& arena, Sink&& sink) {
@@ -239,20 +239,30 @@ void ForEachHubTriple(Source& source, EdgeId ei, std::span<const Neighbor> nbrs,
     const auto nbrs_j = source.neighbors(ej);
     // Scattering N(e_j) costs |N_j| writes and is amortized over the
     // pairs still to come. When that tail is short and N(e_j) is huge,
-    // probe w_jk per pair instead: identical counts, better constant.
+    // search the sorted N(e_j) for each w_jk instead: the tail's e_k
+    // ascend, so each search starts where the last one stopped. Identical
+    // counts, better constant.
     const bool scattered = nbrs_j.size() <= 16 + 4 * (nbrs.size() - a - 1);
     if (scattered) {
       arena.edge_weight.NewEpoch();
       for (const Neighbor& n : nbrs_j) arena.edge_weight.Set(n.edge, n.weight);
     }
+    auto cursor = nbrs_j.begin();
     // e_i ∩ e_j is scattered lazily: only pairs that reach a closed
     // triple pay for it.
     bool pair_ready = false;
 
     for (size_t b = a + 1; b < nbrs.size(); ++b) {
       const EdgeId ek = nbrs[b].edge;
-      const uint64_t w_jk =
-          scattered ? arena.edge_weight.Get(ek) : source.Weight(ej, ek);
+      uint64_t w_jk = 0;
+      if (scattered) {
+        w_jk = arena.edge_weight.Get(ek);
+      } else {
+        cursor = std::lower_bound(
+            cursor, nbrs_j.end(), ek,
+            [](const Neighbor& n, EdgeId id) { return n.edge < id; });
+        if (cursor != nbrs_j.end() && cursor->edge == ek) w_jk = cursor->weight;
+      }
       if (w_jk != 0 && ei >= std::min(ej, ek)) continue;
       uint64_t w_ijk = 0;
       if (w_jk != 0) {

@@ -1,28 +1,12 @@
 #include "serve/render.h"
 
-#include <memory>
 #include <vector>
 
-#include "ml/decision_tree.h"
+#include "ml/evaluate.h"
 #include "ml/features.h"
-#include "ml/knn.h"
-#include "ml/logistic.h"
-#include "ml/metrics.h"
-#include "ml/mlp.h"
-#include "ml/random_forest.h"
 #include "serve/protocol.h"
 
 namespace mochy {
-
-namespace {
-
-// Fixed evaluation protocol (examples/hyperedge_prediction.cpp, Table 4):
-// 30% held out for testing, split seed 17. Baked in rather than exposed
-// so a predict body is a pure function of (graphs, PredictionTaskOptions).
-constexpr double kTestFraction = 0.3;
-constexpr uint64_t kSplitSeed = 17;
-
-}  // namespace
 
 std::string RenderPerEdgeBody(const PerEdgeCounts& rows) {
   // Appends into one string: g++ 12 at -O3 reports a false -Wrestrict
@@ -51,11 +35,8 @@ Result<std::string> RenderPredictBody(const Hypergraph& history,
         " nodes but history has only " + std::to_string(history.num_nodes()) +
         " — candidates must live in the history's node universe");
   }
-  std::vector<std::vector<NodeId>> edges;
-  for (EdgeId e = 0; e < candidates.num_edges(); ++e) {
-    const auto span = candidates.edge(e);
-    if (span.size() >= 2) edges.emplace_back(span.begin(), span.end());
-  }
+  const std::vector<std::vector<NodeId>> edges =
+      PredictionCandidates(candidates);
   if (edges.empty()) {
     return Status::InvalidArgument(
         "no usable candidates: every hyperedge has fewer than 2 members");
@@ -77,43 +58,18 @@ Result<std::string> RenderPredictBody(const Hypergraph& history,
   }
   body += '\n';
 
-  struct Entry {
-    const char* name;
-    std::unique_ptr<Classifier> (*make)();
-  };
-  const Entry classifiers[] = {
-      {"logistic",
-       [] { return std::unique_ptr<Classifier>(new LogisticRegression()); }},
-      {"forest",
-       [] { return std::unique_ptr<Classifier>(new RandomForest()); }},
-      {"tree",
-       [] { return std::unique_ptr<Classifier>(new DecisionTree()); }},
-      {"knn",
-       [] { return std::unique_ptr<Classifier>(new KNearestNeighbors()); }},
-      {"mlp",
-       [] { return std::unique_ptr<Classifier>(new MlpClassifier()); }},
-  };
-  const struct {
-    const char* name;
-    const Dataset* data;
-  } sets[] = {{"hm26", &task.hm26}, {"hm7", &task.hm7}, {"hc", &task.hc}};
-
-  for (const Entry& entry : classifiers) {
-    for (const auto& set : sets) {
-      Dataset train, test;
-      MOCHY_RETURN_IF_ERROR(
-          TrainTestSplit(*set.data, kTestFraction, kSplitSeed, &train, &test));
-      auto clf = entry.make();
-      MOCHY_RETURN_IF_ERROR(clf->Fit(train));
-      const std::vector<double> scores = clf->PredictAll(test);
+  MOCHY_ASSIGN_OR_RETURN(const std::vector<ClassifierScores> rows,
+                         EvaluatePredictionTask(task));
+  for (const ClassifierScores& row : rows) {
+    for (size_t s = 0; s < kFeatureSetNames.size(); ++s) {
       body += "model ";
-      body += entry.name;
+      body += row.name;
       body += ' ';
-      body += set.name;
+      body += kFeatureSetNames[s];
       body += " acc=";
-      body += EncodeDouble(Accuracy(test.labels, scores));
+      body += EncodeDouble(row.accuracy[s]);
       body += " auc=";
-      body += EncodeDouble(AucScore(test.labels, scores));
+      body += EncodeDouble(row.auc[s]);
       body += '\n';
     }
   }

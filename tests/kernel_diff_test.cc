@@ -432,6 +432,66 @@ TEST(KernelDiffTest, CensusPrimitivesMatchPerInstanceClassification) {
   }
 }
 
+/// A graph whose hubs take ForEachHubTriple's search path, where N(e_j)
+/// is far longer than the pairs left after e_j and w_jk is looked up in
+/// the sorted N(e_j) instead of scattered. Leaves L_t = {t, 200 + t}
+/// (ids 0..119) hang off the big edge B = {0..119} (id 160), so |N(B)| >
+/// 120. Hub H_h = {h, 300 + 2h, 301 + 2h} (ids 120..159) sees N(H_h) = [L_h,
+/// B, C_h, ...]: at B one pair is left. Its closer C_h (ids 161..200) is
+/// adjacent to B for even h — with a triple intersection for h = 0 mod 4 —
+/// so the search both finds and misses w_jk, on closed triples hub H_h
+/// counts itself.
+Hypergraph HubSearchGraph() {
+  constexpr NodeId kLeaves = 120;
+  constexpr NodeId kHubs = 40;
+  std::vector<std::vector<NodeId>> edges;
+  for (NodeId t = 0; t < kLeaves; ++t) edges.push_back({t, 200 + t});
+  for (NodeId h = 0; h < kHubs; ++h) edges.push_back({h, 300 + 2 * h, 301 + 2 * h});
+  std::vector<NodeId> big;
+  for (NodeId t = 0; t < kLeaves; ++t) big.push_back(t);
+  edges.push_back(big);
+  for (NodeId h = 0; h < kHubs; ++h) {
+    if (h % 4 == 0) edges.push_back({300 + 2 * h, h});
+    if (h % 4 == 2) edges.push_back({300 + 2 * h, h + 1});
+    if (h % 2 == 1) edges.push_back({301 + 2 * h, 600 + h});
+  }
+  return MakeHypergraph(edges).value();
+}
+
+TEST(KernelDiffTest, HubTripleSearchPathMatchesReference) {
+  const Hypergraph graph = HubSearchGraph();
+  const auto projection = ProjectedGraph::Build(graph, 1).value();
+  // The graph must reach the search path (ForEachHubTriple's threshold),
+  // with pairs whose w_jk it finds and pairs whose w_jk it misses.
+  uint64_t found = 0;
+  uint64_t missed = 0;
+  for (EdgeId ei = 0; ei < graph.num_edges(); ++ei) {
+    const auto nbrs = projection.neighbors(ei);
+    for (size_t a = 0; a + 1 < nbrs.size(); ++a) {
+      const EdgeId ej = nbrs[a].edge;
+      if (projection.degree(ej) <= 16 + 4 * (nbrs.size() - a - 1)) continue;
+      for (size_t b = a + 1; b < nbrs.size(); ++b) {
+        ++(projection.Weight(ej, nbrs[b].edge) != 0 ? found : missed);
+      }
+    }
+  }
+  ASSERT_GT(found, 0u);
+  ASSERT_GT(missed, 0u);
+
+  const MotifCounts want = reference::CountMotifsExact(graph, projection, 1);
+  ASSERT_GT(want.Total(), 0.0);
+  for (size_t threads : ThreadCounts()) {
+    std::vector<internal::PaddedCensus> parts(threads);
+    internal::ForEachInstanceParallel(
+        graph, projection, threads,
+        [&](size_t worker, EdgeId, EdgeId, EdgeId, int id) {
+          ++parts[worker].n[id];
+        });
+    ExpectBitIdentical(internal::SumCensus(parts), want,
+                       "hub search threads=" + std::to_string(threads));
+  }
+}
+
 TEST(KernelDiffTest, StreamingArrivalThenRemovalMatchesReference) {
   for (const Hypergraph& graph : DuplicateSweep()) {
     for (size_t threads : {1u, 4u}) {

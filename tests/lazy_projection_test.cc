@@ -512,8 +512,8 @@ TEST(ProjectionPolicyTest, EstimateTracksActualFootprint) {
   const uint64_t actual = ProjectedGraph::Build(g).value().MemoryBytes();
   const uint64_t estimate =
       EstimateProjectionBytes(ComputeProjectedDegrees(g));
-  // The estimate reconstructs the CSR + pair-table sizing exactly; only
-  // container slack can differ.
+  // The estimate reconstructs the CSR sizing exactly; only container
+  // slack can differ.
   EXPECT_GT(estimate, 0u);
   EXPECT_NEAR(static_cast<double>(estimate), static_cast<double>(actual),
               0.05 * static_cast<double>(actual));

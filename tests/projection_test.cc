@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "gen/generators.h"
 #include "hypergraph/builder.h"
 #include "tests/test_util.h"
 
@@ -53,10 +54,11 @@ TEST(ProjectionTest, WedgeAtEnumeratesAllWedgesOnce) {
   const ProjectedGraph p = ProjectedGraph::Build(g).value();
   std::set<std::pair<EdgeId, EdgeId>> wedges;
   for (uint64_t k = 0; k < p.num_wedges(); ++k) {
-    const auto [i, j] = p.WedgeAt(k);
-    EXPECT_LT(i, j);
-    EXPECT_GT(p.Weight(i, j), 0u);
-    EXPECT_TRUE(wedges.emplace(i, j).second) << "duplicate wedge";
+    const auto [i, nj] = p.WedgeAt(k);
+    EXPECT_LT(i, nj.edge);
+    EXPECT_GT(nj.weight, 0u);
+    EXPECT_EQ(p.Weight(i, nj.edge), nj.weight);
+    EXPECT_TRUE(wedges.emplace(i, nj.edge).second) << "duplicate wedge";
   }
   EXPECT_EQ(wedges.size(), p.num_wedges());
 }
@@ -99,6 +101,56 @@ TEST(ProjectionTest, MatchesBruteForceOnRandomGraphs) {
       }
     }
     EXPECT_EQ(p.num_wedges(), expected_wedges) << "seed " << seed;
+  }
+}
+
+// Weight() keeps the semantics of the pair-weight table it replaced:
+// symmetric, |a ∩ b| for adjacent pairs, 0 for a == b and for
+// non-adjacent pairs, duplicated hyperedges included.
+TEST(ProjectionTest, WeightIsZeroForSelfAndNonAdjacentPairs) {
+  std::vector<Hypergraph> graphs;
+  BuildOptions keep_duplicates;
+  keep_duplicates.dedup_edges = false;
+  graphs.push_back(MakeHypergraph({{0, 1, 2}, {0, 1, 2}, {2, 3}, {4, 5}, {2, 3}},
+                                  keep_duplicates)
+                       .value());
+  for (uint64_t seed = 0; seed < 4; ++seed) {
+    graphs.push_back(testing::RandomHypergraph(20, 30, 1, 5, seed + 40));
+  }
+  for (size_t index = 0; index < graphs.size(); ++index) {
+    const Hypergraph& g = graphs[index];
+    const ProjectedGraph p = ProjectedGraph::Build(g).value();
+    for (EdgeId a = 0; a < g.num_edges(); ++a) {
+      for (EdgeId b = 0; b < g.num_edges(); ++b) {
+        const uint64_t want = a == b ? 0 : g.IntersectionSize(a, b);
+        EXPECT_EQ(p.Weight(a, b), want)
+            << "graph " << index << " pair " << a << "," << b;
+      }
+    }
+  }
+  EXPECT_EQ(graphs[0].num_edges(), 5u);
+  EXPECT_EQ(ProjectedGraph::Build(graphs[0]).value().Weight(0, 1), 3u);
+}
+
+// The materialized footprint is the CSR arrays alone — offsets, wedge
+// offsets, suffix starts and Σ|N_e| adjacency entries — and the estimate
+// the kAuto policy budgets with predicts it exactly.
+TEST(ProjectionTest, MemoryBytesIsTheCsrArraysOnAllGenerators) {
+  for (const Domain domain : {Domain::kCoauthorship, Domain::kContact,
+                              Domain::kEmail, Domain::kTags,
+                              Domain::kThreads}) {
+    GeneratorConfig config = DefaultConfig(domain, 0.05);
+    config.seed = 5;
+    const Hypergraph g = GenerateDomainHypergraph(config).value();
+    const ProjectedGraph p = ProjectedGraph::Build(g, 2).value();
+    const uint64_t m = g.num_edges();
+    uint64_t adjacency = 0;
+    for (EdgeId e = 0; e < m; ++e) adjacency += p.degree(e);
+    const uint64_t csr = 2 * (m + 1) * sizeof(uint64_t) +
+                         m * sizeof(uint32_t) + adjacency * sizeof(Neighbor);
+    EXPECT_EQ(p.MemoryBytes(), csr) << DomainName(domain);
+    EXPECT_EQ(EstimateProjectionBytes(ComputeProjectedDegrees(g, 2)), csr)
+        << DomainName(domain);
   }
 }
 

@@ -4,6 +4,7 @@
 // encoder is the inverse of the parser; every spelling of one double
 // shares one cache key; and the CLI's flags build the same Query as the
 // wire's keys, with no flag a kind does not take.
+#include <algorithm>
 #include <optional>
 #include <span>
 #include <string>
@@ -91,16 +92,26 @@ std::string Body(const std::string& response) {
 
 /// Blanks the wall-clock fields of stats lines (`elapsed=`, `busy=`,
 /// `utilization=`): independent runs time bit-identical results
-/// differently.
-std::string WithoutTimings(std::string body) {
-  for (const std::string key : {"elapsed=", "busy=", "utilization="}) {
-    for (size_t at = body.find(key); at != std::string::npos;
-         at = body.find(key, at + 1)) {
-      const size_t end = body.find_first_of(" \n", at);
-      body.replace(at + key.size(), end - at - key.size(), "*");
+/// differently. Appends into a new string: g++ 12 at -O3 reports a false
+/// -Wrestrict inside std::string::replace here.
+std::string WithoutTimings(const std::string& body) {
+  std::string out;
+  out.reserve(body.size());
+  size_t at = 0;
+  while (at < body.size()) {
+    const std::string_view rest(body.data() + at, body.size() - at);
+    bool blanked = false;
+    for (const std::string_view key : {"elapsed=", "busy=", "utilization="}) {
+      if (!rest.starts_with(key)) continue;
+      out += key;
+      out += '*';
+      at = std::min(body.find_first_of(" \n", at), body.size());
+      blanked = true;
+      break;
     }
+    if (!blanked) out += body[at++];
   }
-  return body;
+  return out;
 }
 
 TEST(QueryTableTest, OfflineBodyEqualsServedColdAndCachedBodies) {

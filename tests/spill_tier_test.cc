@@ -269,6 +269,54 @@ TEST_F(SpillTierTest, OnDiskCorruptionIsDetectedAndRecomputed) {
   EXPECT_GT(stats.spill_fallbacks, 0u);
 }
 
+// The record checksum hashes 8 payload bytes per step: a flip anywhere in
+// a record — header, key, neighbor words or the tail bytes past the last
+// full word — must still be rejected, and so must a record read as the
+// wrong edge or from a truncated extent.
+TEST_F(SpillTierTest, EveryByteFlipOfARecordIsRejected) {
+  ScopedTempDir tmp;
+  const std::string path = tmp.dir() + "/shard.spill";
+  auto log = SpillLog::Create(path);
+  ASSERT_TRUE(log.ok());
+  SpillLog& spill = *log.value();
+  const std::vector<Neighbor> first = {{1, 2}, {9, 1}, {40, 3}};
+  const std::vector<Neighbor> second = {{0, 1}, {3, 7}};
+  ASSERT_TRUE(spill.Append(5, first));
+  ASSERT_TRUE(spill.Append(77, second));
+
+  for (const auto& [edge, want] :
+       {std::pair{EdgeId{5}, first}, std::pair{EdgeId{77}, second}}) {
+    SpillLog::RecordRef ref;
+    ASSERT_TRUE(spill.Lookup(edge, &ref));
+    const uint32_t payload_len = ref.length - 8;
+    ASSERT_NE(payload_len % 8, 0u) << "the tail must be a partial word";
+    std::vector<Neighbor> out;
+    const auto expect_exact = [&](const std::string& context) {
+      ASSERT_TRUE(spill.ReadRecord(ref, edge, &out)) << context;
+      ASSERT_EQ(out.size(), want.size()) << context;
+      for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(out[i].edge, want[i].edge) << context;
+        EXPECT_EQ(out[i].weight, want[i].weight) << context;
+      }
+    };
+    expect_exact("clean edge " + std::to_string(edge));
+    EXPECT_FALSE(spill.ReadRecord(ref, edge + 1, &out)) << "wrong edge";
+    EXPECT_FALSE(spill.ReadRecord({ref.offset, ref.length - 1}, edge, &out))
+        << "truncated extent";
+    for (uint64_t at = ref.offset; at < ref.offset + ref.length; ++at) {
+      for (const unsigned char mask : {0x01, 0x80, 0xFF}) {
+        const std::string context = "edge " + std::to_string(edge) +
+                                    " byte " + std::to_string(at) +
+                                    " mask " + std::to_string(mask);
+        ASSERT_TRUE(FlipFileByte(path, at, mask));
+        EXPECT_FALSE(spill.ReadRecord(ref, edge, &out)) << context;
+        ASSERT_TRUE(FlipFileByte(path, at, mask));
+        expect_exact(context + " restored");
+      }
+    }
+  }
+}
+
 TEST_F(SpillTierTest, SpillDirIsCreatedOnDemand) {
   const Hypergraph graph = TestGraph();
   ScopedTempDir tmp;
