@@ -50,6 +50,12 @@
 namespace mochy::bench {
 namespace {
 
+// Memo budgets of the memory and out-of-core scenarios, as fractions of
+// the adjacency (Σ_e |N_e| entries at kNeighborEntryBytes each).
+constexpr uint64_t kNeighborEntryBytes = 8;
+constexpr uint64_t kLazyBudgetDivisor = 3;
+constexpr uint64_t kSpillBudgetDivisor = 4;
+
 struct Config {
   std::string out = "BENCH_report.json";
   std::string tag = "report";
@@ -120,7 +126,7 @@ struct GraphReport {
   double ingest_wall_s = 0.0;           // min over repeats
   double ingest_edges_per_s = 0.0;
   // Memory scenario: MoCHy-A+ through the engine's lazy projection policy
-  // under a budget of 1/8 the materialized footprint; estimates verified
+  // under a budget of 1/3 of the adjacency; estimates verified
   // bit-identical to the materialized kernel in-run.
   uint64_t mem_materialized_bytes = 0;  // full ProjectedGraph footprint
   uint64_t mem_budget_bytes = 0;        // configured memo budget
@@ -131,7 +137,7 @@ struct GraphReport {
   double mem_lazy_wall_ratio = 0.0;     // lazy wall / materialized a+ wall
   // Out-of-core scenario: the graph round-tripped through the mmap-able
   // binary container (hypergraph/binary_format.h), then MoCHy-A+ at a
-  // budget of 1/10 the materialized footprint with the spill-to-disk
+  // budget of 1/4 of the adjacency with the spill-to-disk
   // tier attached; estimates verified bit-identical to the materialized
   // kernel in-run.
   uint64_t ooc_file_bytes = 0;          // size of the .mhg container
@@ -167,7 +173,7 @@ struct GraphReport {
   double faults_wall_s = 0.0;
   double faults_qps = 0.0;
   double faults_p99_us = 0.0;
-  uint64_t faults_fired = 0;      // injected faults during the faulty phase
+  uint64_t faults_fired = 0;      // injected faults in the fastest faulty phase
   uint64_t faults_dropped = 0;    // connections the server cut because of them
 };
 
@@ -548,11 +554,20 @@ GraphReport MeasureGraph(const std::string& name, const Hypergraph& graph,
     report.ingest_edges_per_s = wall > 0.0 ? m / wall : 0.0;
   }
 
+  // The memory and out-of-core scenarios size their memo budgets from the
+  // wedge index — Σ_e |N_e| neighbor entries at 8 bytes each, the
+  // adjacency a memo can hold — not from ProjectedGraph::MemoryBytes(),
+  // so a change of projection layout cannot move the workload they gate.
+  uint64_t adjacency_bytes = 0;
+  for (const uint32_t degree : ComputeProjectedDegrees(graph).degree) {
+    adjacency_bytes += kNeighborEntryBytes * degree;
+  }
+
   // Memory scenario: the same MoCHy-A+ workload through the engine's lazy
-  // projection policy, budgeted to 1/8 of the materialized footprint. The
-  // engine is built once (cold memo); repeats measure the steady state,
-  // so hit rate and wall time reflect a warm, budget-resident memo.
-  // Estimates must match the materialized kernel bit-for-bit.
+  // projection policy, budgeted to 1/3 of the adjacency. The engine is
+  // built once (cold memo); repeats measure the steady state, so hit rate
+  // and wall time reflect a warm, budget-resident memo. Estimates must
+  // match the materialized kernel bit-for-bit.
   {
     report.mem_materialized_bytes = projection.MemoryBytes();
     EngineOptions lazy_options;
@@ -562,7 +577,7 @@ GraphReport MeasureGraph(const std::string& name, const Hypergraph& graph,
     lazy_options.num_threads = config.threads;
     lazy_options.seed = 1;  // = MochyAPlusOptions default the kernels used
     lazy_options.memory_budget =
-        std::max<uint64_t>(1, report.mem_materialized_bytes / 8);
+        std::max<uint64_t>(1, adjacency_bytes / kLazyBudgetDivisor);
     report.mem_budget_bytes = lazy_options.memory_budget;
     const MotifEngine engine =
         MotifEngine::Create(graph, lazy_options).value();
@@ -608,8 +623,8 @@ GraphReport MeasureGraph(const std::string& name, const Hypergraph& graph,
   }
 
   // Out-of-core scenario: the graph saved as an .mhg container, loaded
-  // back through the binary reader, and counted at a budget of 1/10 the
-  // materialized footprint with the spill tier attached — the full
+  // back through the binary reader, and counted at a budget of 1/4 of the
+  // adjacency with the spill tier attached — the full
   // storage stack (format round trip + disk-backed memo) priced in one
   // row. Estimates must match the materialized kernel bit-for-bit.
   {
@@ -638,7 +653,7 @@ GraphReport MeasureGraph(const std::string& name, const Hypergraph& graph,
     spill_options.num_threads = config.threads;
     spill_options.seed = 1;  // = MochyAPlusOptions default the kernels used
     spill_options.memory_budget =
-        std::max<uint64_t>(1, report.mem_materialized_bytes / 10);
+        std::max<uint64_t>(1, adjacency_bytes / kSpillBudgetDivisor);
     spill_options.spill_dir = spill_dir;
     report.ooc_budget_bytes = spill_options.memory_budget;
     {
@@ -873,19 +888,32 @@ GraphReport MeasureGraph(const std::string& name, const Hypergraph& graph,
                   report.faults_clean_wall_s
             : 0.0;
 
+    // One faulty phase is a few milliseconds, so it is timed like every
+    // other row: the minimum over `repeat` phases, each under the same
+    // plan re-armed (Arm restarts its per-point hit ordinals).
     FaultPlan plan;
     plan.seed = 1234;
     plan.rate = 0.01;  // 1% of frame reads/writes fail with EIO
-    FaultInjector::Global().Arm(plan);
-    run_phase("faulty", &report.faults_wall_s, &report.faults_p99_us);
-    FaultInjector::Global().Disarm();
+    for (int rep = 0; rep < std::max(config.repeat, 1); ++rep) {
+      const uint64_t dropped_before = server.stats().dropped_connections;
+      double wall_s = 0.0;
+      double p99_us = 0.0;
+      FaultInjector::Global().Arm(plan);
+      run_phase("faulty", &wall_s, &p99_us);
+      FaultInjector::Global().Disarm();
+      if (rep == 0 || wall_s < report.faults_wall_s) {
+        report.faults_wall_s = wall_s;
+        report.faults_p99_us = p99_us;
+        report.faults_fired = FaultInjector::Global().total_fired();
+        report.faults_dropped =
+            server.stats().dropped_connections - dropped_before;
+      }
+    }
     report.faults_qps =
         report.faults_wall_s > 0.0
             ? static_cast<double>(report.faults_queries) /
                   report.faults_wall_s
             : 0.0;
-    report.faults_fired = FaultInjector::Global().total_fired();
-    report.faults_dropped = server.stats().dropped_connections;
 
     client.Close();
     server.RequestStop();

@@ -109,6 +109,9 @@ class ProjectedGraph {
   /// e_j (with ω_ij) in N(e_i), i < j. Wedges are ordered by (i, then j);
   /// used for uniform wedge sampling.
   std::pair<EdgeId, Neighbor> WedgeAt(uint64_t k) const;
+  /// Wedge prefix sums: wedges [wedge_prefix()[e], wedge_prefix()[e + 1])
+  /// have e_i = e. Equal to ProjectedDegrees::wedge_prefix.
+  std::span<const uint64_t> wedge_prefix() const { return wedge_offsets_; }
 
   /// Sum over all wedges of omega (useful for Lemma 1 cost accounting and
   /// for the weighted wedge sampler).

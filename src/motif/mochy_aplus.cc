@@ -1,10 +1,13 @@
 #include "motif/mochy_aplus.h"
 
 #include <algorithm>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "common/logging.h"
 #include "common/parallel.h"
+#include "common/rng.h"
 #include "motif/stamp_kernels.h"
 
 namespace mochy {
@@ -23,27 +26,124 @@ MotifCounts RescaleWedgeEstimates(MotifCounts counts, uint64_t num_wedges,
   return counts;
 }
 
-/// Maps the uniform wedge index `k` to its wedge (e_i within-suffix rank):
-/// binary search of the wedge prefix sums. The `within`-th neighbor of
-/// e_i with id > e_i — a suffix of the sorted neighborhood, identical to
-/// ProjectedGraph::WedgeAt on the materialized structure — completes the
-/// pick once the neighborhood is in hand.
-std::pair<EdgeId, uint64_t> PickWedgeSource(const ProjectedDegrees& degrees,
-                                            uint64_t k) {
-  const auto it = std::upper_bound(degrees.wedge_prefix.begin(),
-                                   degrees.wedge_prefix.end(), k);
-  const size_t e = static_cast<size_t>(it - degrees.wedge_prefix.begin()) - 1;
-  return {static_cast<EdgeId>(e), k - degrees.wedge_prefix[e]};
+/// Workers of a run: options.num_threads (0 = DefaultThreadCount()), at
+/// most one per sample.
+size_t SamplerThreads(const MochyAPlusOptions& options) {
+  const size_t threads =
+      options.num_threads == 0 ? DefaultThreadCount() : options.num_threads;
+  return static_cast<size_t>(std::min<uint64_t>(threads, options.num_samples));
 }
 
-/// The `within`-th neighbor of `ei` with id > ei in the sorted
-/// neighborhood `nbrs`.
-const Neighbor& PickWedgeTarget(std::span<const Neighbor> nbrs, EdgeId ei,
-                                uint64_t within) {
-  const auto suffix = std::upper_bound(
+/// Samples drawn, sorted and counted at a time: bounds the index buffer
+/// at 512 KB whatever r is.
+constexpr uint64_t kSampleBlock = 65536;
+
+/// Maps the uniform wedge index `k` to its wedge (e_i, within-suffix rank)
+/// by binary search of the wedge prefix sums. The `within`-th neighbor of
+/// e_i with id > e_i completes the pick once N(e_i) is in hand.
+std::pair<EdgeId, uint64_t> LocateWedge(std::span<const uint64_t> prefix,
+                                        uint64_t k) {
+  const auto it = std::upper_bound(prefix.begin(), prefix.end(), k);
+  const size_t e = static_cast<size_t>(it - prefix.begin()) - 1;
+  return {static_cast<EdgeId>(e), k - prefix[e]};
+}
+
+/// The neighbors of `ei` with id > ei: a suffix of the sorted `nbrs`.
+std::span<const Neighbor> UpperSuffix(std::span<const Neighbor> nbrs,
+                                      EdgeId ei) {
+  const auto it = std::upper_bound(
       nbrs.begin(), nbrs.end(), ei,
       [](EdgeId lhs, const Neighbor& rhs) { return lhs < rhs.edge; });
-  return *(suffix + static_cast<int64_t>(within));
+  return nbrs.subspan(static_cast<size_t>(it - nbrs.begin()));
+}
+
+/// Draws samples [first, first + |block|) into `block` — sample n's wedge
+/// index from Rng(seed).Fork(n), so the draw does not depend on the thread
+/// count — and sorts them, which groups them by e_i (wedges are indexed
+/// by (i, j)) and puts equal wedges next to each other.
+void DrawSortedBlock(uint64_t seed, uint64_t wedges, uint64_t first,
+                     size_t num_threads, std::span<uint64_t> block) {
+  const Rng base(seed);
+  ParallelBlocks(block.size(), num_threads,
+                 [&](size_t, size_t begin, size_t end) {
+                   for (size_t s = begin; s < end; ++s) {
+                     Rng rng = base.Fork(first + s);
+                     block[s] = rng.UniformInt(wedges);
+                   }
+                 });
+  std::sort(block.begin(), block.end());
+}
+
+/// The raw MoCHy-A+ census (slot 0 dropped), counted hub by hub. Each block
+/// of samples is drawn sorted and split across workers in chunks of
+/// near-equal cost: wedge_cost(e_i, within) ≈ |N_j| per distinct wedge,
+/// plus hub_cost(e_i) = |N_i| for the first wedge of each e_i. A worker
+/// fetches N(e_i) and prepares the WedgeCensus hub once per group in its
+/// chunk, and adds each distinct wedge once, times its number of draws.
+/// `source_of(worker)` is the worker's neighbor source (with Fetch), for
+/// worker < num_threads (SamplerThreads). The census is a sum of
+/// integers, so it is identical for any thread count and any split.
+template <typename SourceOf, typename HubCost, typename WedgeCost>
+MotifCounts CountSortedSamples(const Hypergraph& graph,
+                               std::span<const uint64_t> wedge_prefix,
+                               const MochyAPlusOptions& options,
+                               size_t num_threads, SourceOf&& source_of,
+                               HubCost&& hub_cost, WedgeCost&& wedge_cost) {
+  const uint64_t wedges = wedge_prefix.back();
+  const uint64_t num_samples = options.num_samples;
+  const size_t block_size =
+      static_cast<size_t>(std::min(num_samples, kSampleBlock));
+  std::vector<uint64_t> block(block_size);
+  std::vector<uint64_t> cost(block_size);
+  std::vector<internal::PaddedCensus> partial(num_threads);
+  const uint64_t max_edge_size = graph.max_edge_size();
+  std::vector<internal::WedgeCensus> census(
+      num_threads, internal::WedgeCensus(max_edge_size));
+  // N(e_i) must survive the N(e_j) fetches: its own buffer per worker.
+  std::vector<std::vector<Neighbor>> hub_buffer(num_threads);
+
+  for (uint64_t first = 0; first < num_samples; first += block_size) {
+    const std::span<uint64_t> samples(
+        block.data(), static_cast<size_t>(std::min<uint64_t>(
+                          block_size, num_samples - first)));
+    DrawSortedBlock(options.seed, wedges, first, num_threads, samples);
+    EdgeId hub = kInvalidEdge;
+    for (size_t s = 0; s < samples.size(); ++s) {
+      cost[s] = 0;
+      if (s > 0 && samples[s] == samples[s - 1]) continue;
+      const auto [ei, within] = LocateWedge(wedge_prefix, samples[s]);
+      cost[s] = wedge_cost(ei, within) + (ei != hub ? hub_cost(ei) : 0);
+      hub = ei;
+    }
+    ParallelWorkChunks(
+        std::span<const uint64_t>(cost).first(samples.size()), num_threads,
+        [&](size_t worker, size_t begin, size_t end) {
+          ScratchArena& arena = internal::ArenaFor(graph);
+          auto& source = source_of(worker);
+          internal::WedgeCensus& wedge_census = census[worker];
+          EdgeId chunk_hub = kInvalidEdge;
+          std::span<const Neighbor> upper;
+          for (size_t s = begin; s < end;) {
+            const uint64_t k = samples[s];
+            size_t run_end = s + 1;
+            while (run_end < end && samples[run_end] == k) ++run_end;
+            const auto [ei, within] = LocateWedge(wedge_prefix, k);
+            if (ei != chunk_hub) {
+              const auto nbrs_i = source.Fetch(ei, &hub_buffer[worker]);
+              wedge_census.PrepareHub(source, ei, nbrs_i, arena);
+              upper = UpperSuffix(nbrs_i, ei);
+              chunk_hub = ei;
+            }
+            const Neighbor& picked = upper[within];
+            wedge_census.AddWedge(source, picked.edge, picked.weight,
+                                  source.neighbors(picked.edge),
+                                  static_cast<int64_t>(run_end - s), arena,
+                                  partial[worker].n);
+            s = run_end;
+          }
+        });
+  }
+  return internal::SumCensus(partial);
 }
 
 Status CheckWedgeIndex(const Hypergraph& graph,
@@ -68,18 +168,12 @@ MotifCounts CountMotifsWedgeSample(const Hypergraph& graph,
     return {};
   }
   const internal::ProjectionSource source(graph, projection);
-  const MotifClassifier classify;
-  const MotifCounts raw = internal::SampleInstances(
-      graph, wedges, options.num_samples, options.seed, options.num_threads,
-      [&](size_t) {
-        return [&](uint64_t k, ScratchArena& arena,
-                   internal::MotifCensus& census) {
-          const auto [ei, picked] = projection.WedgeAt(k);
-          internal::WedgeCensus(source, classify, ei, picked.edge,
-                                picked.weight, projection.neighbors(ei),
-                                projection.neighbors(picked.edge), arena,
-                                census);
-        };
+  const MotifCounts raw = CountSortedSamples(
+      graph, projection.wedge_prefix(), options, SamplerThreads(options),
+      [&](size_t) -> const internal::ProjectionSource& { return source; },
+      [&](EdgeId ei) { return projection.degree(ei); },
+      [&](EdgeId ei, uint64_t within) {
+        return projection.degree(projection.upper_neighbors(ei)[within].edge);
       });
   return RescaleWedgeEstimates(raw, wedges, options.num_samples);
 }
@@ -95,27 +189,28 @@ Result<MotifCounts> CountMotifsWedgeSampleLazy(
     return MotifCounts();
   }
   const std::vector<uint32_t> size_of = internal::HoistEdgeSizes(graph);
-  const MotifClassifier classify;
-  // Indexed by worker; at most one worker per sample.
-  std::vector<LazyProjection::Stats> local_stats(
-      options.num_threads == 0 ? DefaultThreadCount() : options.num_threads);
-  const MotifCounts raw = internal::SampleInstances(
-      graph, wedges, options.num_samples, options.seed, options.num_threads,
-      [&](size_t worker) {
-        // N(e_i) must survive the N(e_j) fetch: its own buffer.
-        return [&, source = internal::LazySource(graph, size_of.data(), lazy,
-                                              &local_stats[worker]),
-                buffer = std::vector<Neighbor>()](
-                   uint64_t k, ScratchArena& arena,
-                   internal::MotifCensus& census) mutable {
-          const auto [ei, within] = PickWedgeSource(degrees, k);
-          const std::span<const Neighbor> nbrs_i = source.Fetch(ei, &buffer);
-          const Neighbor picked = PickWedgeTarget(nbrs_i, ei, within);
-          internal::WedgeCensus(source, classify, ei, picked.edge,
-                                picked.weight, nbrs_i,
-                                source.neighbors(picked.edge), arena, census);
-        };
-      });
+  const size_t num_threads = SamplerThreads(options);
+  // Indexed by worker.
+  std::vector<LazyProjection::Stats> local_stats(num_threads);
+  std::vector<internal::LazySource> sources;
+  sources.reserve(num_threads);
+  for (size_t w = 0; w < num_threads; ++w) {
+    sources.emplace_back(graph, size_of.data(), lazy, &local_stats[w]);
+  }
+  // N(e_j) is unknown until N(e_i) is fetched: a wedge is charged the
+  // mean degree of a uniform wedge's endpoint, Σ|N_e|² / Σ|N_e|.
+  uint64_t sum_degree = 0;
+  uint64_t sum_degree_sq = 0;
+  for (const uint64_t d : degrees.degree) {
+    sum_degree += d;
+    sum_degree_sq += d * d;
+  }
+  const uint64_t mean_wedge_degree = sum_degree_sq / sum_degree;
+  const MotifCounts raw = CountSortedSamples(
+      graph, degrees.wedge_prefix, options, num_threads,
+      [&](size_t worker) -> internal::LazySource& { return sources[worker]; },
+      [&](EdgeId ei) { return uint64_t{degrees.degree[ei]}; },
+      [&](EdgeId, uint64_t) { return mean_wedge_degree; });
   if (stats_out != nullptr) *stats_out = MergeLazyRunStats(lazy, local_stats);
   return RescaleWedgeEstimates(raw, wedges, options.num_samples);
 }

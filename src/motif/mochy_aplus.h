@@ -2,8 +2,12 @@
 // (paper Algorithm 5), over a materialized projection or, for the
 // on-the-fly variant of Section 3.4, over the budgeted lazy memo.
 //
-// Samples r hyperwedges {e_i, e_j} uniformly with replacement; every
-// instance containing the wedge is found by scanning N(e_i) ∪ N(e_j).
+// Samples r hyperwedges {e_i, e_j} uniformly with replacement and adds
+// every instance containing each drawn wedge. The sum does not depend on
+// the order of the samples, so they are counted hub by hub: each block of
+// up to 65,536 draws is sorted, which groups it by e_i; N(e_i) is stamped
+// (and on the lazy path fetched) once per group, and each distinct wedge
+// scans N(e_j) once, its instances counted times its number of draws.
 // Open motifs contain 2 wedges and closed motifs 3, so raw counts are
 // rescaled by |∧|/(2r) and |∧|/(3r) respectively, giving unbiased
 // estimates (Theorem 4) with strictly smaller variance than MoCHy-A at

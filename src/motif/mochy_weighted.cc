@@ -23,11 +23,13 @@ struct WedgeSample {
   internal::MotifCensus census;
 };
 
-/// A worker's neighborhood scratch.
+/// A worker's neighborhood scratch and census primitive.
 struct WedgeWorker {
-  explicit WedgeWorker(size_t num_edges) : builder(num_edges) {}
+  explicit WedgeWorker(const Hypergraph& graph)
+      : builder(graph.num_edges()), census(graph.max_edge_size()) {}
   NeighborhoodBuilder builder;
   std::vector<Neighbor> nbrs_i, nbrs_j;
+  internal::WedgeCensus census;
 };
 
 }  // namespace
@@ -66,11 +68,10 @@ Result<MochyWeightedResult> CountMotifsWeightedWedge(
        DefaultThreadCount(), block_size});
 
   Rng rng(options.seed);
-  const MotifClassifier classify;
   std::vector<WedgeWorker> workers;
   workers.reserve(result.num_threads);
   for (size_t w = 0; w < result.num_threads; ++w) {
-    workers.emplace_back(graph.num_edges());
+    workers.emplace_back(graph);
   }
   std::vector<WedgeSample> block(block_size);
   const std::vector<uint64_t> unit_cost(block_size, 1);
@@ -106,9 +107,10 @@ Result<MochyWeightedResult> CountMotifsWeightedWedge(
             sample.w_ij = graph.IntersectionSize(sample.ei, sample.ej);
             MOCHY_DCHECK(sample.w_ij > 0);
             sample.census.fill(0);
-            internal::WedgeCensus(graph, classify, sample.ei, sample.ej,
-                                  sample.w_ij, scratch.nbrs_i, scratch.nbrs_j,
-                                  arena, sample.census);
+            // A group of one: hub e_i, then its single wedge.
+            scratch.census.PrepareHub(graph, sample.ei, scratch.nbrs_i, arena);
+            scratch.census.AddWedge(graph, sample.ej, sample.w_ij,
+                                    scratch.nbrs_j, 1, arena, sample.census);
           }
         });
 

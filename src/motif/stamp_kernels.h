@@ -12,8 +12,10 @@
 //    term (up to a log d factor) the triple intersections: MoCHy-E and
 //    the per-edge rows (MotifEngine::CountPerEdge).
 //  - WedgeCensus — the instances containing the wedge {e_i, e_j}, by
-//    class: MoCHy-A+ (materialized and lazy) and the weighted sampler
-//    MoCHy-A+W, one census per sample.
+//    class, in two steps: PrepareHub(e_i) once, then AddWedge(e_j) for
+//    each wedge that shares e_i. MoCHy-A+ (materialized and lazy) runs
+//    its sorted samples hub by hub through it; the weighted sampler
+//    MoCHy-A+W calls it as a group of one per sample.
 //  - ContainingCensus — the instances containing edge e, by class:
 //    MoCHy-A (materialized and lazy) and the Table-4 HM26 candidate rows.
 //  - ForEachHubTriple — instances hubbed at e_i, so that a sweep over all
@@ -39,7 +41,7 @@
 //     neighbors(e) -> N(e) with weights, valid until the next call
 // (ProjectionSource, LazySource, DynamicHypergraph; a plain Hypergraph
 // serves WedgeCensus, whose neighborhoods — NeighborhoodBuilder output in
-// the weighted sampler — are passed in). The hub primitive needs every
+// the weighted sampler — are passed in). ForEachHubTriple needs every
 // neighborhood sorted by edge id. The outer neighborhood a primitive
 // iterates is passed in explicitly and must stay valid for the whole call.
 //
@@ -151,6 +153,10 @@ struct ProjectionSource {
   uint64_t edge_size(EdgeId e) const { return size_of[e]; }
   std::span<const NodeId> edge(EdgeId e) const { return graph.edge(e); }
   std::span<const Neighbor> neighbors(EdgeId e) const {
+    return projection.neighbors(e);
+  }
+  /// N(e), as LazySource::Fetch; the projection's own span, `out` unused.
+  std::span<const Neighbor> Fetch(EdgeId e, std::vector<Neighbor>*) const {
     return projection.neighbors(e);
   }
 
@@ -386,6 +392,8 @@ class OpenPairBuckets {
   }
 
   size_t num_keys() const { return keys_.size(); }
+  /// Key of key index `a`: 2ω + [|e| > ω].
+  uint32_t key(size_t a) const { return keys_[a]; }
   /// Number of neighbors with key index `a`.
   uint64_t count(size_t a) const { return counts_[a]; }
   /// Key index of nbrs[position].
@@ -423,51 +431,86 @@ class OpenPairBuckets {
   MotifClassifier classify_;
 };
 
-/// The instances containing the wedge {e_i, e_j} (ω = w_ij ≥ 1, `nbrs_i` =
-/// N(e_i), `nbrs_j` = N(e_j)), one per e_k adjacent to e_i or e_j, added to
-/// `census` by class. Every e_k of N(e_j) first counts as if open at hub
-/// e_j (e_i's own entry is taken back); each e_k of N(e_i) \ N(e_j) is
-/// open at hub e_i; each e_k of both closes the triple, which alone is
-/// classified in full (with its triple intersection) and takes back its
-/// hub-e_j entry. Uses arena.edge_weight for w(e_j, ·) and both node sets.
-template <typename Source>
-void WedgeCensus(const Source& source, const MotifClassifier& classify,
-                 EdgeId ei, EdgeId ej, uint64_t w_ij,
-                 std::span<const Neighbor> nbrs_i,
-                 std::span<const Neighbor> nbrs_j, ScratchArena& arena,
-                 MotifCensus& census) {
-  const uint64_t size_i = source.edge_size(ei);
-  const uint64_t size_j = source.edge_size(ej);
-  StampedWeights& w_j = arena.edge_weight;  // w(e_j, ·) over N(e_j)
-  w_j.NewEpoch();
-  for (const Neighbor& n : nbrs_j) {
-    w_j.Set(n.edge, n.weight);
-    ++census[classify.OpenClass(size_j, size_i, source.edge_size(n.edge),
-                                w_ij, n.weight)];
+/// The instances containing a wedge {e_i, e_j}, by class, in two steps so
+/// that one hub serves every wedge that shares it. PrepareHub(e_i, N(e_i))
+/// stamps w(e_i, ·) into arena.edge_weight and buckets N(e_i) by key
+/// (OpenPairBuckets), O(|N_i|). AddWedge(e_j, ω_ij, N(e_j), times) then
+/// adds, `times` over, one instance per e_k adjacent to e_i or e_j: each
+/// e_k of N(e_i) but e_j as if open at hub e_i, by key, O(keys); each e_k
+/// of N(e_j) \ N(e_i) open at hub e_j; and each e_k of both, which closes
+/// the triple and alone is classified in full (with its triple
+/// intersection), taking back its hub-e_i entry. O(keys + |N_j| + closed ·
+/// |e_k|) per wedge. Neighborhoods need not be sorted. Uses
+/// arena.edge_weight and both node sets, which nothing else may touch
+/// between PrepareHub and the hub's last AddWedge. One per worker.
+class WedgeCensus {
+ public:
+  /// Sized for hyperedges of at most `max_edge_size` nodes.
+  explicit WedgeCensus(uint64_t max_edge_size) : buckets_(max_edge_size) {}
+
+  template <typename Source>
+  void PrepareHub(const Source& source, EdgeId ei,
+                  std::span<const Neighbor> nbrs_i, ScratchArena& arena) {
+    ei_ = ei;
+    size_i_ = source.edge_size(ei);
+    buckets_.Fill(source, size_i_, nbrs_i);
+    arena.edge_weight.NewEpoch();
+    for (const Neighbor& n : nbrs_i) arena.edge_weight.Set(n.edge, n.weight);
+    hub_nodes_ready_ = false;
   }
-  --census[classify.OpenClass(size_j, size_i, size_i, w_ij, w_ij)];
-  // e_i's nodes and e_i ∩ e_j are scattered lazily: only wedges that reach
-  // a closed triple pay for the node passes.
-  bool pair_ready = false;
-  for (const Neighbor& n : nbrs_i) {
-    const EdgeId ek = n.edge;
-    if (ek == ej) continue;
-    const uint64_t size_k = source.edge_size(ek);
-    const uint64_t w_jk = w_j.Get(ek);
-    if (w_jk == 0) {
-      ++census[classify.OpenClass(size_i, size_j, size_k, w_ij, n.weight)];
-      continue;
+
+  /// Adds the instances containing {e_i, e_j} `times` over; e_j ∈ N(e_i)
+  /// with ω = w_ij, `nbrs_j` = N(e_j).
+  template <typename Source>
+  void AddWedge(const Source& source, EdgeId ej, uint64_t w_ij,
+                std::span<const Neighbor> nbrs_j, int64_t times,
+                ScratchArena& arena, MotifCensus& census) {
+    const uint64_t size_j = source.edge_size(ej);
+    for (size_t a = 0; a < buckets_.num_keys(); ++a) {
+      // ω + the private bit stands in for |e_k|: the same emptiness bits.
+      const uint32_t key = buckets_.key(a);
+      const uint64_t w_ik = key >> 1;
+      census[classify_.OpenClass(size_i_, size_j, w_ik + (key & 1), w_ij,
+                                 w_ik)] +=
+          times * static_cast<int64_t>(buckets_.count(a));
     }
-    if (!pair_ready) {
-      StampHubNodes(source, ei, arena);
-      StampPairNodes(source, ej, arena);
-      pair_ready = true;
+    census[classify_.OpenClass(size_i_, size_j, size_j, w_ij, w_ij)] -= times;
+    const StampedWeights& w_i = arena.edge_weight;  // w(e_i, ·) over N(e_i)
+    // e_i's nodes and e_i ∩ e_j are scattered lazily: only hubs and wedges
+    // that reach a closed triple pay for the node passes.
+    bool pair_ready = false;
+    for (const Neighbor& n : nbrs_j) {
+      const EdgeId ek = n.edge;
+      if (ek == ei_) continue;
+      const uint64_t size_k = source.edge_size(ek);
+      const uint64_t w_ik = w_i.Get(ek);
+      if (w_ik == 0) {
+        census[classify_.OpenClass(size_j, size_i_, size_k, w_ij, n.weight)] +=
+            times;
+        continue;
+      }
+      if (!pair_ready) {
+        if (!hub_nodes_ready_) {
+          StampHubNodes(source, ei_, arena);
+          hub_nodes_ready_ = true;
+        }
+        StampPairNodes(source, ej, arena);
+        pair_ready = true;
+      }
+      const uint64_t w_ijk = StampedTripleIntersection(source, ek, arena);
+      census[classify_(size_i_, size_j, size_k, w_ij, n.weight, w_ik, w_ijk)] +=
+          times;
+      census[classify_.OpenClass(size_i_, size_j, size_k, w_ij, w_ik)] -= times;
     }
-    const uint64_t w_ijk = StampedTripleIntersection(source, ek, arena);
-    ++census[classify(size_i, size_j, size_k, w_ij, w_jk, n.weight, w_ijk)];
-    --census[classify.OpenClass(size_j, size_i, size_k, w_ij, w_jk)];
   }
-}
+
+ private:
+  OpenPairBuckets buckets_;
+  MotifClassifier classify_;
+  EdgeId ei_ = 0;
+  uint64_t size_i_ = 0;
+  bool hub_nodes_ready_ = false;
+};
 
 /// The instances containing e (`nbrs` = N(e)), each once, added to
 /// `census` by class: every pair of N(e) as if open at hub e, through
@@ -522,7 +565,7 @@ void ContainingCensus(Source& source, const MotifClassifier& classify,
   }
 }
 
-/// The sampling loop of MoCHy-A and MoCHy-A+. Sample n of `num_samples`
+/// The sampling loop of MoCHy-A. Sample n of `num_samples`
 /// draws k = UniformInt(population) from its own fork of Rng(seed) — so
 /// the result is identical for any thread count — and worker n mod T
 /// passes it to its visitor(k, arena, census), which adds the sample's

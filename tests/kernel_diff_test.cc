@@ -387,14 +387,19 @@ void ExpectCensusEqual(const internal::MotifCensus& got,
   }
 }
 
+Hypergraph HubSearchGraph();
+
 TEST(KernelDiffTest, CensusPrimitivesMatchPerInstanceClassification) {
   std::vector<Hypergraph> graphs = DiffCorpus();
   for (Hypergraph& graph : NestedCorpus()) graphs.push_back(std::move(graph));
+  graphs.push_back(HubSearchGraph());
   for (const Hypergraph& graph : graphs) {
     const auto projection = ProjectedGraph::Build(graph, 1).value();
     const internal::ProjectionSource source(graph, projection);
     const MotifClassifier classify;
-    internal::OpenPairBuckets buckets(internal::MaxEdgeSize(source.size_of));
+    const uint64_t max_edge_size = internal::MaxEdgeSize(source.size_of);
+    internal::OpenPairBuckets buckets(max_edge_size);
+    internal::WedgeCensus wedge_census(max_edge_size);
     ScratchArena& arena = internal::ArenaFor(graph);
     const std::string graph_label = "m=" + std::to_string(graph.num_edges());
     for (EdgeId ei = 0; ei < graph.num_edges(); ++ei) {
@@ -413,20 +418,26 @@ TEST(KernelDiffTest, CensusPrimitivesMatchPerInstanceClassification) {
       ExpectCensusEqual(got, want,
                         graph_label + " containing e=" + std::to_string(ei));
 
-      // Every instance containing the wedge {e_i, e_j}, e_i < e_j.
-      for (const Neighbor& nj : projection.upper_neighbors(ei)) {
-        const EdgeId ej = nj.edge;
+      // Every instance containing the wedge {e_i, e_j}, for each e_j of
+      // N(e_i) in turn — below and above e_i — from one hub preparation,
+      // each wedge added 1 to 3 times over.
+      const auto nbrs_i = projection.neighbors(ei);
+      wedge_census.PrepareHub(source, ei, nbrs_i, arena);
+      for (size_t p = 0; p < nbrs_i.size(); ++p) {
+        const EdgeId ej = nbrs_i[p].edge;
+        const int64_t times = 1 + static_cast<int64_t>(p % 3);
         internal::MotifCensus wedge_want{};
         for (EdgeId ek : NeighborUnion(projection, ei, ej)) {
-          ++wedge_want[ClassifyTriple(graph, ei, ej, ek)];
+          wedge_want[ClassifyTriple(graph, ei, ej, ek)] += times;
         }
         internal::MotifCensus wedge_got{};
-        internal::WedgeCensus(source, classify, ei, ej, nj.weight,
-                              projection.neighbors(ei),
-                              projection.neighbors(ej), arena, wedge_got);
+        wedge_census.AddWedge(source, ej, nbrs_i[p].weight,
+                              projection.neighbors(ej), times, arena,
+                              wedge_got);
         ExpectCensusEqual(wedge_got, wedge_want,
-                          graph_label + " wedge {" + std::to_string(ei) +
-                              ", " + std::to_string(ej) + "}");
+                          graph_label + " hub " + std::to_string(ei) +
+                              ", wedge {" + std::to_string(ei) + ", " +
+                              std::to_string(ej) + "}");
       }
     }
   }

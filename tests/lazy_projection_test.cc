@@ -9,7 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
 #include "common/parallel.h"
+#include "common/rng.h"
 #include "hypergraph/builder.h"
 #include "hypergraph/projection.h"
 #include "motif/batch.h"
@@ -121,6 +125,43 @@ TEST(LazyProjectionTest, WedgeSampleRejectsMismatchedWedgeIndex) {
       g, ComputeProjectedDegrees(other), *memo.value(), sampling);
   ASSERT_FALSE(counts.ok());
   EXPECT_EQ(counts.status().code(), StatusCode::kInvalidArgument);
+}
+
+// Lazy MoCHy-A+ fetches N(e_i) once per group of samples that share e_i
+// and N(e_j) once per distinct wedge: r = 10·|∧| draws cost about
+// |hubs| + |distinct wedges| memo fetches, not 2r. A chunk boundary
+// re-fetches at most N(e_i) and N(e_j); one worker's block splits into at
+// most 33 chunks (WorkChunkBoundaries: 16 cost targets, with each repeated
+// draw charged one unit).
+TEST(LazyProjectionTest, WedgeSampleFetchesEachHubOncePerGroup) {
+  const Hypergraph g = testing::RandomHypergraph(30, 60, 1, 6, 4);
+  const ProjectedDegrees degrees = ComputeProjectedDegrees(g);
+  MochyAPlusOptions sampling;
+  sampling.num_samples = 10 * degrees.num_wedges;
+  sampling.seed = 3;
+  sampling.num_threads = 1;
+  std::set<EdgeId> hubs;
+  std::set<uint64_t> wedges;
+  const Rng base(sampling.seed);
+  for (uint64_t n = 0; n < sampling.num_samples; ++n) {
+    const uint64_t k = base.Fork(n).UniformInt(degrees.num_wedges);
+    wedges.insert(k);
+    const auto it = std::upper_bound(degrees.wedge_prefix.begin(),
+                                     degrees.wedge_prefix.end(), k);
+    hubs.insert(static_cast<EdgeId>(it - degrees.wedge_prefix.begin() - 1));
+  }
+  LazyProjectionOptions options;
+  options.memory_budget_bytes = 64 << 20;
+  auto memo = ConcurrentLazyProjection::Create(g, degrees, options);
+  ASSERT_TRUE(memo.ok());
+  LazyProjection::Stats stats;
+  ASSERT_TRUE(
+      CountMotifsWedgeSampleLazy(g, degrees, *memo.value(), sampling, &stats)
+          .ok());
+  const uint64_t fetches = stats.memo_hits + stats.computations;
+  EXPECT_GE(fetches, hubs.size() + wedges.size());
+  EXPECT_LE(fetches, hubs.size() + wedges.size() + 2 * 33);
+  EXPECT_LT(fetches, sampling.num_samples);
 }
 
 TEST(LazyProjectionTest, LargeBudgetComputesEachOnce) {

@@ -8,6 +8,7 @@
 #include "motif/mochy_a.h"
 #include "motif/mochy_aplus.h"
 #include "motif/mochy_e.h"
+#include "motif/reference.h"
 #include "tests/test_util.h"
 
 namespace mochy {
@@ -230,6 +231,80 @@ TEST(OnTheFlyTest, MemoizationReducesComputations) {
   EXPECT_EQ(stats_none.lazy_memo_hits, 0u);
   EXPECT_GT(stats_big.lazy_memo_hits, 0u);
   EXPECT_LT(stats_big.lazy_recomputes, stats_none.lazy_recomputes);
+}
+
+// MoCHy-A+ counts its samples sorted and grouped by e_i, each distinct
+// wedge once times its number of draws, in blocks of 65,536 samples split
+// across workers. Each case below must match the per-sample oracle bit
+// for bit: materialized and lazy (4 KB memo plus a spill dir), at 1, 2
+// and 4 threads.
+void ExpectWedgeSampleMatchesReference(const Hypergraph& graph,
+                                       uint64_t num_samples,
+                                       const std::string& label) {
+  const ProjectedGraph projection = ProjectedGraph::Build(graph).value();
+  MochyAPlusOptions options;
+  options.num_samples = num_samples;
+  options.seed = 5;
+  options.num_threads = 1;
+  const MotifCounts want =
+      reference::CountMotifsWedgeSample(graph, projection, options);
+  ASSERT_GT(want.Total(), 0.0) << label;
+  testing::ScopedTempDir tmp;
+  for (const size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
+    const std::string context = label + " threads=" + std::to_string(threads);
+    options.num_threads = threads;
+    const MotifCounts materialized =
+        CountMotifsWedgeSample(graph, projection, options);
+    EngineOptions lazy;
+    lazy.algorithm = Algorithm::kLinkSample;
+    lazy.projection = ProjectionPolicy::kLazy;
+    lazy.memory_budget = 4096;
+    lazy.spill_dir = tmp.dir();
+    lazy.num_samples = num_samples;
+    lazy.seed = options.seed;
+    lazy.num_threads = threads;
+    const MotifCounts spilled =
+        MotifEngine::Create(graph, lazy).value().Count(lazy).value().counts;
+    for (int t = 1; t <= kNumHMotifs; ++t) {
+      ASSERT_EQ(materialized[t], want[t]) << context << " motif " << t;
+      ASSERT_EQ(spilled[t], want[t]) << context << " lazy, motif " << t;
+    }
+  }
+}
+
+/// A star: hub edge 0 over nodes [0, 2·leaves), and pairwise disjoint
+/// leaves that each take one or two hub nodes and zero to two private
+/// nodes, so every wedge is {0, leaf} (one e_i group) and N(0) holds
+/// several keys (ω, [|e| > ω]).
+Hypergraph StarGraph(NodeId leaves) {
+  std::vector<std::vector<NodeId>> edges(1);
+  for (NodeId v = 0; v < 2 * leaves; ++v) edges[0].push_back(v);
+  for (NodeId t = 0; t < leaves; ++t) {
+    std::vector<NodeId> leaf = {2 * t};
+    if (t % 2 == 0) leaf.push_back(2 * t + 1);
+    for (NodeId p = 0; p < t % 3; ++p) leaf.push_back(2 * leaves + 2 * t + p);
+    edges.push_back(leaf);
+  }
+  return MakeHypergraph(edges).value();
+}
+
+TEST(MochyAPlusSortedTest, HeavyDuplicatesMatchReference) {
+  const Fixture f = MakeFixture(12);
+  ExpectWedgeSampleMatchesReference(f.graph, 10 * f.projection.num_wedges(),
+                                    "r=10|wedges|");
+}
+
+TEST(MochyAPlusSortedTest, OneHubGroupSplitAcrossChunksMatchesReference) {
+  const Hypergraph graph = StarGraph(120);
+  const ProjectedGraph projection = ProjectedGraph::Build(graph).value();
+  ASSERT_EQ(projection.upper_neighbors(0).size(), projection.num_wedges());
+  ExpectWedgeSampleMatchesReference(graph, 10 * projection.num_wedges(),
+                                    "star");
+}
+
+TEST(MochyAPlusSortedTest, MoreSamplesThanOneBlockMatchReference) {
+  const Fixture f = MakeFixture(13);
+  ExpectWedgeSampleMatchesReference(f.graph, 65536 + 4465, "r > block");
 }
 
 }  // namespace
