@@ -44,11 +44,8 @@ namespace {
 /// double in [0, 1) derived purely from (seed, point, ordinal), so the
 /// decision for a given hit is the same in every run with that seed.
 double RateCoin(uint64_t seed, std::string_view point, uint64_t ordinal) {
-  uint64_t h = 0xcbf29ce484222325ULL ^ Mix64(seed);
-  for (const char c : point) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
+  uint64_t h =
+      Fnv1a64(point.data(), point.size(), 0xcbf29ce484222325ULL ^ Mix64(seed));
   h = Mix64(h ^ Mix64(ordinal + 0x9e3779b97f4a7c15ULL));
   return static_cast<double>(h >> 11) * 0x1.0p-53;
 }

@@ -35,6 +35,20 @@ inline uint32_t PairSecond(uint64_t key) {
   return static_cast<uint32_t>(key & 0xffffffffULL);
 }
 
+/// FNV-1a-64 over raw bytes. `h` seeds the state (default: the offset
+/// basis), so a caller can chain calls or mix in a seed. The `.mhg`
+/// container, the streaming WAL and the fault injector's rate coin all
+/// hash through this one function.
+inline uint64_t Fnv1a64(const void* data, size_t size,
+                        uint64_t h = 0xcbf29ce484222325ULL) {
+  const auto* bytes = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < size; ++i) {
+    h ^= bytes[i];
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
 /// boost-style hash combiner for aggregating multiple fields.
 inline size_t HashCombine(size_t seed, size_t value) {
   return seed ^ (value + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2));

@@ -9,9 +9,10 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <utility>
+#include <memory>
 #include <vector>
 
+#include "common/hash.h"
 #include "hypergraph/io.h"
 
 // The section payloads are the in-memory CSR arrays written verbatim, so
@@ -28,16 +29,6 @@ constexpr size_t kHeaderBytes = 144;
 constexpr size_t kSectionTableOffset = 40;
 constexpr size_t kNumSections = 4;
 constexpr size_t kHeaderChecksumOffset = 136;
-
-uint64_t Fnv64(const void* data, size_t len) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (size_t i = 0; i < len; ++i) {
-    h ^= bytes[i];
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
 
 struct SectionDesc {
   uint64_t offset = 0;
@@ -70,47 +61,19 @@ size_t AlignUp8(size_t v) { return (v + 7) & ~size_t{7}; }
 }  // namespace
 
 Status SaveHypergraphBinary(const Hypergraph& graph, const std::string& path) {
-  const size_t num_edges = graph.num_edges();
-  const uint64_t num_pins = graph.num_pins();
-
-  // Gather the four CSR sections. edge_offsets/node_offsets are copied
-  // into contiguous u64 arrays through the public accessors; the
-  // remaining arrays are reconstructed the same way so the writer does
-  // not need friend access.
-  std::vector<uint64_t> edge_offsets(num_edges + 1);
-  std::vector<NodeId> edge_nodes;
-  edge_nodes.reserve(num_pins);
-  edge_offsets[0] = 0;
-  for (size_t e = 0; e < num_edges; ++e) {
-    const auto span = graph.edge(static_cast<EdgeId>(e));
-    edge_nodes.insert(edge_nodes.end(), span.begin(), span.end());
-    edge_offsets[e + 1] = edge_nodes.size();
-  }
-  std::vector<uint64_t> node_offsets(graph.num_nodes() + 1);
-  std::vector<EdgeId> node_edges;
-  node_edges.reserve(num_pins);
-  node_offsets[0] = 0;
-  for (size_t v = 0; v < graph.num_nodes(); ++v) {
-    const auto span = graph.edges_of(static_cast<NodeId>(v));
-    node_edges.insert(node_edges.end(), span.begin(), span.end());
-    node_offsets[v + 1] = node_edges.size();
-  }
-
   const void* section_data[kNumSections] = {
-      edge_offsets.data(), edge_nodes.data(), node_offsets.data(),
-      node_edges.data()};
+      graph.edge_offsets().data(), graph.edge_nodes().data(),
+      graph.node_offsets().data(), graph.node_edges().data()};
   const size_t section_bytes[kNumSections] = {
-      edge_offsets.size() * sizeof(uint64_t),
-      edge_nodes.size() * sizeof(NodeId),
-      node_offsets.size() * sizeof(uint64_t),
-      node_edges.size() * sizeof(EdgeId)};
+      graph.edge_offsets().size_bytes(), graph.edge_nodes().size_bytes(),
+      graph.node_offsets().size_bytes(), graph.node_edges().size_bytes()};
 
   SectionDesc descs[kNumSections];
   size_t cursor = kHeaderBytes;
   for (size_t s = 0; s < kNumSections; ++s) {
     descs[s].offset = cursor;
     descs[s].length = section_bytes[s];
-    descs[s].checksum = Fnv64(section_data[s], section_bytes[s]);
+    descs[s].checksum = Fnv1a64(section_data[s], section_bytes[s]);
     cursor = AlignUp8(cursor + section_bytes[s]);
   }
 
@@ -120,25 +83,29 @@ Status SaveHypergraphBinary(const Hypergraph& graph, const std::string& path) {
   PutU32(&header, kBinaryHypergraphVersion);
   PutU64(&header, 0);  // flags (reserved)
   PutU64(&header, graph.num_nodes());
-  PutU64(&header, num_edges);
-  PutU64(&header, num_pins);
+  PutU64(&header, graph.num_edges());
+  PutU64(&header, graph.num_pins());
   for (const SectionDesc& d : descs) {
     PutU64(&header, d.offset);
     PutU64(&header, d.length);
     PutU64(&header, d.checksum);
   }
-  PutU64(&header, Fnv64(header.data(), header.size()));
+  PutU64(&header, Fnv1a64(header.data(), header.size()));
 
-  std::FILE* f = std::fopen(path.c_str(), "wb");
+  // Write a sibling file and rename it over `path`: a graph loaded from
+  // the old file keeps reading its own (now unlinked) mapping, where
+  // truncating in place would make its next read fault.
+  const std::string tmp_path = path + ".tmp";
+  std::FILE* f = std::fopen(tmp_path.c_str(), "wb");
   if (f == nullptr) {
-    return Status::IOError("cannot open for writing: " + path);
+    return Status::IOError("cannot open for writing: " + tmp_path);
   }
   bool ok = std::fwrite(header.data(), 1, header.size(), f) == header.size();
   size_t written = kHeaderBytes;
   static constexpr unsigned char kPad[8] = {0};
   for (size_t s = 0; ok && s < kNumSections; ++s) {
-    // An empty graph has zero-length sections whose vector data() is
-    // null; fwrite's pointer argument must not be null even for n == 0.
+    // An empty graph has zero-length sections whose data() may be null;
+    // fwrite's pointer argument must not be null even for n == 0.
     ok = section_bytes[s] == 0 ||
          std::fwrite(section_data[s], 1, section_bytes[s], f) ==
              section_bytes[s];
@@ -151,38 +118,19 @@ Status SaveHypergraphBinary(const Hypergraph& graph, const std::string& path) {
   }
   if (std::fclose(f) != 0) ok = false;
   if (!ok) {
-    std::remove(path.c_str());
-    return Status::IOError("short write to " + path);
+    std::remove(tmp_path.c_str());
+    return Status::IOError("short write to " + tmp_path);
+  }
+  if (std::rename(tmp_path.c_str(), path.c_str()) != 0) {
+    const Status status = Status::IOError("rename " + tmp_path + " to " +
+                                          path + ": " + std::strerror(errno));
+    std::remove(tmp_path.c_str());
+    return status;
   }
   return Status::OK();
 }
 
-MappedHypergraph::MappedHypergraph(MappedHypergraph&& other) noexcept {
-  *this = std::move(other);
-}
-
-MappedHypergraph& MappedHypergraph::operator=(
-    MappedHypergraph&& other) noexcept {
-  if (this != &other) {
-    if (base_ != nullptr) ::munmap(base_, mapped_bytes_);
-    base_ = std::exchange(other.base_, nullptr);
-    mapped_bytes_ = std::exchange(other.mapped_bytes_, 0);
-    num_nodes_ = std::exchange(other.num_nodes_, 0);
-    num_edges_ = std::exchange(other.num_edges_, 0);
-    num_pins_ = std::exchange(other.num_pins_, 0);
-    edge_offsets_ = std::exchange(other.edge_offsets_, {});
-    edge_nodes_ = std::exchange(other.edge_nodes_, {});
-    node_offsets_ = std::exchange(other.node_offsets_, {});
-    node_edges_ = std::exchange(other.node_edges_, {});
-  }
-  return *this;
-}
-
-MappedHypergraph::~MappedHypergraph() {
-  if (base_ != nullptr) ::munmap(base_, mapped_bytes_);
-}
-
-Result<MappedHypergraph> MappedHypergraph::Open(const std::string& path) {
+Result<Hypergraph> LoadHypergraphBinary(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) {
     return Status::IOError("cannot open " + path + ": " +
@@ -209,9 +157,12 @@ Result<MappedHypergraph> MappedHypergraph::Open(const std::string& path) {
                            std::strerror(errno));
   }
 
-  MappedHypergraph mapped;
-  mapped.base_ = base;
-  mapped.mapped_bytes_ = file_bytes;
+  // The mapping lives as long as the returned graph or any copy of it;
+  // every early return below unmaps it.
+  std::shared_ptr<const void> mapping(
+      base, [file_bytes](const void* p) {
+        ::munmap(const_cast<void*>(p), file_bytes);
+      });
   const auto* bytes = static_cast<const unsigned char*>(base);
 
   const uint32_t magic = GetU32(bytes);
@@ -230,13 +181,20 @@ Result<MappedHypergraph> MappedHypergraph::Open(const std::string& path) {
     return Status::InvalidArgument("unsupported flags in " + path);
   }
   if (GetU64(bytes + kHeaderChecksumOffset) !=
-      Fnv64(bytes, kHeaderChecksumOffset)) {
+      Fnv1a64(bytes, kHeaderChecksumOffset)) {
     return Status::IOError("header checksum mismatch (corrupt file): " + path);
   }
 
-  mapped.num_nodes_ = GetU64(bytes + 16);
-  mapped.num_edges_ = GetU64(bytes + 24);
-  mapped.num_pins_ = GetU64(bytes + 32);
+  const uint64_t num_nodes = GetU64(bytes + 16);
+  const uint64_t num_edges = GetU64(bytes + 24);
+  const uint64_t num_pins = GetU64(bytes + 32);
+  // Counts the file cannot hold are truncation; rejecting them here also
+  // keeps the section lengths below from overflowing.
+  if (num_nodes >= file_bytes / 8 || num_edges >= file_bytes / 8 ||
+      num_pins > file_bytes / 4) {
+    return Status::OutOfRange("header counts exceed a truncated file: " +
+                              path);
+  }
 
   SectionDesc descs[kNumSections];
   for (size_t s = 0; s < kNumSections; ++s) {
@@ -246,10 +204,8 @@ Result<MappedHypergraph> MappedHypergraph::Open(const std::string& path) {
     descs[s].checksum = GetU64(d + 16);
   }
   const uint64_t expected_lengths[kNumSections] = {
-      (mapped.num_edges_ + 1) * sizeof(uint64_t),
-      mapped.num_pins_ * sizeof(NodeId),
-      (mapped.num_nodes_ + 1) * sizeof(uint64_t),
-      mapped.num_pins_ * sizeof(EdgeId)};
+      (num_edges + 1) * sizeof(uint64_t), num_pins * sizeof(NodeId),
+      (num_nodes + 1) * sizeof(uint64_t), num_pins * sizeof(EdgeId)};
   static const char* const kSectionNames[kNumSections] = {
       "edge_offsets", "edge_nodes", "node_offsets", "node_edges"};
   for (size_t s = 0; s < kNumSections; ++s) {
@@ -264,41 +220,23 @@ Result<MappedHypergraph> MappedHypergraph::Open(const std::string& path) {
       return Status::OutOfRange(std::string("truncated section ") +
                                 kSectionNames[s] + " in " + path);
     }
-    if (Fnv64(bytes + descs[s].offset, descs[s].length) != descs[s].checksum) {
+    if (Fnv1a64(bytes + descs[s].offset, descs[s].length) != descs[s].checksum) {
       return Status::IOError(std::string("checksum mismatch in section ") +
                              kSectionNames[s] + " (corrupt file): " + path);
     }
   }
 
-  mapped.edge_offsets_ = {
-      reinterpret_cast<const uint64_t*>(bytes + descs[0].offset),
-      mapped.num_edges_ + 1};
-  mapped.edge_nodes_ = {
-      reinterpret_cast<const NodeId*>(bytes + descs[1].offset),
-      mapped.num_pins_};
-  mapped.node_offsets_ = {
-      reinterpret_cast<const uint64_t*>(bytes + descs[2].offset),
-      mapped.num_nodes_ + 1};
-  mapped.node_edges_ = {
-      reinterpret_cast<const EdgeId*>(bytes + descs[3].offset),
-      mapped.num_pins_};
-  return mapped;
-}
-
-Result<Hypergraph> MappedHypergraph::ToHypergraph() const {
-  Hypergraph graph = AssembleHypergraphFromCsr(
-      num_nodes_,
-      std::vector<uint64_t>(edge_offsets_.begin(), edge_offsets_.end()),
-      std::vector<NodeId>(edge_nodes_.begin(), edge_nodes_.end()),
-      std::vector<uint64_t>(node_offsets_.begin(), node_offsets_.end()),
-      std::vector<EdgeId>(node_edges_.begin(), node_edges_.end()));
+  Hypergraph graph(
+      num_nodes,
+      {reinterpret_cast<const uint64_t*>(bytes + descs[0].offset),
+       num_edges + 1},
+      {reinterpret_cast<const NodeId*>(bytes + descs[1].offset), num_pins},
+      {reinterpret_cast<const uint64_t*>(bytes + descs[2].offset),
+       num_nodes + 1},
+      {reinterpret_cast<const EdgeId*>(bytes + descs[3].offset), num_pins},
+      std::move(mapping));
   MOCHY_RETURN_IF_ERROR(graph.Validate());
   return graph;
-}
-
-Result<Hypergraph> LoadHypergraphBinary(const std::string& path) {
-  MOCHY_ASSIGN_OR_RETURN(MappedHypergraph mapped, MappedHypergraph::Open(path));
-  return mapped.ToHypergraph();
 }
 
 bool IsBinaryHypergraphFile(const std::string& path) {

@@ -3,9 +3,12 @@
 // The text format (hypergraph/io.h) stays the interchange/import format;
 // this container is the out-of-core tier: the four CSR arrays of
 // Hypergraph are stored verbatim (little-endian) behind a versioned
-// header, so a graph can be mapped with mmap(2) and its incidence
-// structure read zero-copy, without the tokenize/sort/dedup cost of the
-// text importer.
+// header. LoadHypergraphBinary maps the file with mmap(2) and returns a
+// Hypergraph whose spans point straight into the mapping (no copy, no
+// tokenize/sort/dedup), kept mapped while the graph or a copy lives.
+// SaveHypergraphBinary writes the graph's four spans and renames the
+// result over the target, so re-saving a file that a live graph was
+// loaded from leaves that graph's mapping intact.
 //
 // Layout (all integers little-endian; full tables in docs/STORAGE.md):
 //
@@ -23,14 +26,14 @@
 //   [144] section payloads, each 8-byte aligned, zero padded
 //
 // Error taxonomy on load: wrong magic or unsupported version/flags →
-// kInvalidArgument; a file or section shorter than its descriptor claims
-// → kOutOfRange; open/map failures and checksum mismatches (bit rot) →
-// kIOError.
+// kInvalidArgument; a file shorter than its header counts or section
+// descriptors claim → kOutOfRange; open/map failures and checksum mismatches (bit rot) →
+// kIOError; intact bytes that break the CSR invariants → kInternal
+// (Hypergraph::Validate).
 #ifndef MOCHY_HYPERGRAPH_BINARY_FORMAT_H_
 #define MOCHY_HYPERGRAPH_BINARY_FORMAT_H_
 
 #include <cstdint>
-#include <span>
 #include <string>
 
 #include "common/status.h"
@@ -44,58 +47,13 @@ namespace mochy {
 inline constexpr uint32_t kBinaryHypergraphMagic = 0x3147484Du;
 inline constexpr uint32_t kBinaryHypergraphVersion = 1;
 
-/// Writes `graph` to `path` in the binary container format, truncating.
+/// Writes `graph` to `path` in the binary container format: the file is
+/// written as `path` + ".tmp" and renamed over `path`.
 Status SaveHypergraphBinary(const Hypergraph& graph, const std::string& path);
 
-/// A hypergraph mapped read-only from a ".mhg" file. The CSR accessors
-/// are zero-copy views into the mapping; they stay valid for the
-/// lifetime of this object only. Move-only RAII over the mapping.
-class MappedHypergraph {
- public:
-  /// Maps and verifies `path` (header + section checksums). See the
-  /// header comment for the error taxonomy.
-  static Result<MappedHypergraph> Open(const std::string& path);
-
-  MappedHypergraph(MappedHypergraph&& other) noexcept;
-  MappedHypergraph& operator=(MappedHypergraph&& other) noexcept;
-  MappedHypergraph(const MappedHypergraph&) = delete;
-  MappedHypergraph& operator=(const MappedHypergraph&) = delete;
-  ~MappedHypergraph();
-
-  size_t num_nodes() const { return num_nodes_; }
-  size_t num_edges() const { return num_edges_; }
-  uint64_t num_pins() const { return num_pins_; }
-
-  /// CSR views straight into the mapping (no copies).
-  std::span<const uint64_t> edge_offsets() const { return edge_offsets_; }
-  std::span<const NodeId> edge_nodes() const { return edge_nodes_; }
-  std::span<const uint64_t> node_offsets() const { return node_offsets_; }
-  std::span<const EdgeId> node_edges() const { return node_edges_; }
-
-  /// Members of hyperedge `e`, sorted ascending (zero-copy).
-  std::span<const NodeId> edge(EdgeId e) const {
-    return edge_nodes_.subspan(edge_offsets_[e],
-                               edge_offsets_[e + 1] - edge_offsets_[e]);
-  }
-
-  /// Copies the mapped arrays into an owning, validated Hypergraph.
-  Result<Hypergraph> ToHypergraph() const;
-
- private:
-  MappedHypergraph() = default;
-
-  void* base_ = nullptr;
-  size_t mapped_bytes_ = 0;
-  size_t num_nodes_ = 0;
-  size_t num_edges_ = 0;
-  uint64_t num_pins_ = 0;
-  std::span<const uint64_t> edge_offsets_;
-  std::span<const NodeId> edge_nodes_;
-  std::span<const uint64_t> node_offsets_;
-  std::span<const EdgeId> node_edges_;
-};
-
-/// Maps `path` and returns an owning Hypergraph (mmap verify + copy-out).
+/// Maps and verifies `path` (header, section checksums, then
+/// Hypergraph::Validate) and returns a graph viewing the mapping
+/// zero-copy. See the header comment for the error taxonomy.
 Result<Hypergraph> LoadHypergraphBinary(const std::string& path);
 
 /// True when the file starts with the binary container magic. Missing or

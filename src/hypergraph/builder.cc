@@ -18,10 +18,9 @@ void HypergraphBuilder::AddEdge(std::initializer_list<NodeId> nodes) {
 }
 
 Result<Hypergraph> HypergraphBuilder::Build(const BuildOptions& options) && {
-  Hypergraph graph;
-  graph.edge_offsets_.clear();
-  graph.edge_offsets_.push_back(0);
-  graph.edge_nodes_.reserve(pool_.size());
+  std::vector<uint64_t> edge_offsets = {0};
+  std::vector<NodeId> edge_nodes;
+  edge_nodes.reserve(pool_.size());
 
   // Duplicate detection: hash of sorted members -> candidate edge ids.
   std::unordered_map<uint64_t, std::vector<EdgeId>> seen;
@@ -48,20 +47,19 @@ Result<Hypergraph> HypergraphBuilder::Build(const BuildOptions& options) && {
       auto& bucket = seen[h];
       bool duplicate = false;
       for (EdgeId prev : bucket) {
-        const auto span = graph.edge(prev);
-        if (span.size() == scratch.size() &&
-            std::equal(span.begin(), span.end(), scratch.begin())) {
+        if (std::equal(edge_nodes.begin() + edge_offsets[prev],
+                       edge_nodes.begin() + edge_offsets[prev + 1],
+                       scratch.begin(), scratch.end())) {
           duplicate = true;
           break;
         }
       }
       if (duplicate) continue;
-      bucket.push_back(static_cast<EdgeId>(graph.num_edges()));
+      bucket.push_back(static_cast<EdgeId>(edge_offsets.size() - 1));
     }
 
-    graph.edge_nodes_.insert(graph.edge_nodes_.end(), scratch.begin(),
-                             scratch.end());
-    graph.edge_offsets_.push_back(graph.edge_nodes_.size());
+    edge_nodes.insert(edge_nodes.end(), scratch.begin(), scratch.end());
+    edge_offsets.push_back(edge_nodes.size());
   }
 
   size_t num_nodes = options.num_nodes;
@@ -70,25 +68,24 @@ Result<Hypergraph> HypergraphBuilder::Build(const BuildOptions& options) && {
   } else if (any_node && max_node >= num_nodes) {
     return Status::InvalidArgument("node id exceeds declared num_nodes");
   }
-  graph.num_nodes_ = num_nodes;
 
   // Build node -> edges incidence by counting then filling.
-  graph.node_offsets_.assign(num_nodes + 1, 0);
-  for (NodeId v : graph.edge_nodes_) graph.node_offsets_[v + 1]++;
+  std::vector<uint64_t> node_offsets(num_nodes + 1, 0);
+  for (NodeId v : edge_nodes) node_offsets[v + 1]++;
   for (size_t v = 0; v < num_nodes; ++v) {
-    graph.node_offsets_[v + 1] += graph.node_offsets_[v];
+    node_offsets[v + 1] += node_offsets[v];
   }
-  graph.node_edges_.resize(graph.edge_nodes_.size());
-  std::vector<uint64_t> fill(graph.node_offsets_.begin(),
-                             graph.node_offsets_.end() - 1);
-  for (EdgeId e = 0; e < graph.num_edges(); ++e) {
-    for (NodeId v : graph.edge(e)) {
-      graph.node_edges_[fill[v]++] = e;
+  std::vector<EdgeId> node_edges(edge_nodes.size());
+  std::vector<uint64_t> fill(node_offsets.begin(), node_offsets.end() - 1);
+  for (size_t e = 0; e + 1 < edge_offsets.size(); ++e) {
+    for (uint64_t i = edge_offsets[e]; i < edge_offsets[e + 1]; ++i) {
+      node_edges[fill[edge_nodes[i]]++] = static_cast<EdgeId>(e);
     }
   }
   // Edges are appended in increasing id order, so each node's incidence
   // list is already sorted ascending.
-  return graph;
+  return Hypergraph(num_nodes, std::move(edge_offsets), std::move(edge_nodes),
+                    std::move(node_offsets), std::move(node_edges));
 }
 
 Result<Hypergraph> MakeHypergraph(

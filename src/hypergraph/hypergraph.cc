@@ -13,9 +13,7 @@ bool Hypergraph::EdgeContains(EdgeId e, NodeId v) const {
 
 size_t Hypergraph::max_edge_size() const {
   size_t best = 0;
-  for (size_t e = 0; e + 1 < edge_offsets_.size(); ++e) {
-    best = std::max<size_t>(best, edge_offsets_[e + 1] - edge_offsets_[e]);
-  }
+  for (EdgeId e = 0; e < num_edges(); ++e) best = std::max(best, edge_size(e));
   return best;
 }
 
@@ -64,33 +62,60 @@ size_t Hypergraph::TripleIntersectionSize(EdgeId a, EdgeId b, EdgeId c) const {
   return count;
 }
 
-Hypergraph AssembleHypergraphFromCsr(size_t num_nodes,
-                                     std::vector<uint64_t> edge_offsets,
-                                     std::vector<NodeId> edge_nodes,
-                                     std::vector<uint64_t> node_offsets,
-                                     std::vector<EdgeId> node_edges) {
-  Hypergraph graph;
-  graph.num_nodes_ = num_nodes;
-  graph.edge_offsets_ = std::move(edge_offsets);
-  graph.edge_nodes_ = std::move(edge_nodes);
-  graph.node_offsets_ = std::move(node_offsets);
-  graph.node_edges_ = std::move(node_edges);
-  return graph;
+namespace {
+
+/// The arrays behind a built (not mapped) graph.
+struct OwnedCsr {
+  std::vector<uint64_t> edge_offsets;
+  std::vector<NodeId> edge_nodes;
+  std::vector<uint64_t> node_offsets;
+  std::vector<EdgeId> node_edges;
+};
+
+/// Whether `offsets` starts at 0, never decreases and ends at `size`, so
+/// every span it delimits lies inside an array of `size` elements.
+bool OffsetsDelimit(std::span<const uint64_t> offsets, size_t size) {
+  return !offsets.empty() && offsets.front() == 0 && offsets.back() == size &&
+         std::is_sorted(offsets.begin(), offsets.end());
+}
+
+}  // namespace
+
+Hypergraph::Hypergraph(size_t num_nodes, std::span<const uint64_t> edge_offsets,
+                       std::span<const NodeId> edge_nodes,
+                       std::span<const uint64_t> node_offsets,
+                       std::span<const EdgeId> node_edges,
+                       std::shared_ptr<const void> storage)
+    : num_nodes_(num_nodes),
+      edge_offsets_(edge_offsets),
+      edge_nodes_(edge_nodes),
+      node_offsets_(node_offsets),
+      node_edges_(node_edges),
+      storage_(std::move(storage)) {}
+
+Hypergraph::Hypergraph(size_t num_nodes, std::vector<uint64_t> edge_offsets,
+                       std::vector<NodeId> edge_nodes,
+                       std::vector<uint64_t> node_offsets,
+                       std::vector<EdgeId> node_edges) {
+  auto owned = std::make_shared<OwnedCsr>(
+      OwnedCsr{std::move(edge_offsets), std::move(edge_nodes),
+               std::move(node_offsets), std::move(node_edges)});
+  *this = Hypergraph(num_nodes, owned->edge_offsets, owned->edge_nodes,
+                     owned->node_offsets, owned->node_edges, owned);
 }
 
 Status Hypergraph::Validate() const {
-  if (edge_offsets_.empty() || edge_offsets_.front() != 0 ||
-      edge_offsets_.back() != edge_nodes_.size()) {
+  if (!OffsetsDelimit(edge_offsets_, edge_nodes_.size())) {
     return Status::Internal("edge offsets inconsistent with node array");
   }
-  if (node_offsets_.size() != num_nodes_ + 1 || node_offsets_.front() != 0 ||
-      node_offsets_.back() != node_edges_.size()) {
+  if (node_offsets_.size() != num_nodes_ + 1 ||
+      !OffsetsDelimit(node_offsets_, node_edges_.size())) {
     return Status::Internal("node offsets inconsistent with edge array");
   }
-  for (size_t e = 0; e + 1 < edge_offsets_.size(); ++e) {
-    if (edge_offsets_[e] > edge_offsets_[e + 1]) {
-      return Status::Internal("edge offsets not monotone");
-    }
+  if (node_edges_.size() != num_pins()) {
+    return Status::Internal("pin counts disagree between directions");
+  }
+  for (size_t e = 0; e < num_edges(); ++e) {
     const auto span = edge(static_cast<EdgeId>(e));
     if (span.empty()) return Status::Internal("empty hyperedge");
     for (size_t i = 0; i < span.size(); ++i) {
@@ -102,10 +127,8 @@ Status Hypergraph::Validate() const {
       }
     }
   }
-  uint64_t pins_from_nodes = 0;
   for (size_t v = 0; v < num_nodes_; ++v) {
     const auto span = edges_of(static_cast<NodeId>(v));
-    pins_from_nodes += span.size();
     for (size_t i = 0; i < span.size(); ++i) {
       if (span[i] >= num_edges()) {
         return Status::Internal("edge id out of range in incidence");
@@ -117,9 +140,6 @@ Status Hypergraph::Validate() const {
         return Status::Internal("incidence lists disagree with edges");
       }
     }
-  }
-  if (pins_from_nodes != num_pins()) {
-    return Status::Internal("pin counts disagree between directions");
   }
   return Status::OK();
 }

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/fault.h"
+#include "common/hash.h"
 #include "common/logging.h"
 
 namespace mochy {
@@ -36,16 +37,8 @@ Status Errno(const std::string& what) {
 }
 
 /// FNV-1a over raw bytes, folded to 32 bits for record headers.
-uint64_t Fnv64(const char* data, size_t size, uint64_t h = 0xcbf29ce484222325ULL) {
-  for (size_t i = 0; i < size; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 uint32_t Checksum32(const char* data, size_t size) {
-  const uint64_t h = Fnv64(data, size);
+  const uint64_t h = Fnv1a64(data, size);
   return static_cast<uint32_t>(h ^ (h >> 32));
 }
 
@@ -171,7 +164,7 @@ std::string EncodeCheckpoint(const CheckpointData& data) {
     AppendU32(out, static_cast<uint32_t>(data.edges[e].size()));
     for (const NodeId v : data.edges[e]) AppendU32(out, v);
   }
-  AppendU64(out, Fnv64(out.data(), out.size()));
+  AppendU64(out, Fnv1a64(out.data(), out.size()));
   return out;
 }
 
@@ -181,7 +174,7 @@ std::optional<CheckpointData> DecodeCheckpoint(const std::string& buffer) {
   Reader tail{buffer.data(), buffer.size(), body};
   uint64_t checksum = 0;
   tail.ReadU64(&checksum);
-  if (Fnv64(buffer.data(), body) != checksum) return std::nullopt;
+  if (Fnv1a64(buffer.data(), body) != checksum) return std::nullopt;
 
   Reader r{buffer.data(), body};
   uint32_t magic = 0, version = 0;

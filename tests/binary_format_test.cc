@@ -3,16 +3,23 @@
 // generator domain and adversarial random graphs; counts from an
 // mmap-loaded graph must be bit-identical to the text-loaded graph at
 // any thread count; and malformed containers (wrong magic, future
-// version, truncation, flipped section bytes) must be rejected with the
-// documented typed errors, never read as data.
+// version, truncation, flipped section bytes, re-sealed sections that
+// break the CSR invariants) must be rejected with the documented typed
+// errors, never read as data. A loaded graph views its file's mapping
+// zero-copy and outlives both the original object and a re-save.
 #include "hypergraph/binary_format.h"
 
 #include <cstdint>
+#include <cstring>
+#include <filesystem>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/hash.h"
 #include "gen/generators.h"
 #include "gtest/gtest.h"
+#include "hypergraph/builder.h"
 #include "hypergraph/io.h"
 #include "motif/counts.h"
 #include "motif/engine.h"
@@ -25,6 +32,55 @@ using testing::CorruptFile;
 using testing::FlipFileByte;
 using testing::RandomHypergraph;
 using testing::ScopedTempDir;
+
+constexpr size_t kHeaderBytes = 144;
+constexpr size_t kHeaderChecksumOffset = 136;
+
+uint64_t ReadU64At(const std::string& file, size_t offset) {
+  uint64_t v;
+  std::memcpy(&v, file.data() + offset, sizeof v);
+  return v;
+}
+
+void WriteU64At(std::string* file, size_t offset, uint64_t v) {
+  std::memcpy(file->data() + offset, &v, sizeof v);
+}
+
+/// File offset of section `s`, from its descriptor in the header.
+uint64_t SectionOffset(const std::string& file, size_t s) {
+  return ReadU64At(file, 40 + s * 24);
+}
+
+/// Recomputes the header checksum after a header edit.
+void ResealHeader(std::string* file) {
+  WriteU64At(file, kHeaderChecksumOffset,
+             Fnv1a64(file->data(), kHeaderChecksumOffset));
+}
+
+/// Overwrites section `s` of the container at `path` with `payload` (of
+/// the section's byte length) and recomputes the section and header
+/// checksums, so only the content checks can reject the edit.
+void RewriteSection(const std::string& path, size_t s,
+                    const std::vector<uint64_t>& payload) {
+  std::string file = ReadTextFile(path).value();
+  const size_t desc = 40 + s * 24;
+  const size_t bytes = payload.size() * sizeof(uint64_t);
+  ASSERT_EQ(ReadU64At(file, desc + 8), bytes);
+  std::memcpy(file.data() + SectionOffset(file, s), payload.data(), bytes);
+  WriteU64At(&file, desc + 16, Fnv1a64(payload.data(), bytes));
+  ResealHeader(&file);
+  ASSERT_TRUE(WriteTextFile(path, file).ok());
+}
+
+void ExpectSameExactCounts(const Hypergraph& a, const Hypergraph& b) {
+  EngineOptions options;
+  options.algorithm = Algorithm::kExact;
+  const MotifCounts ca =
+      MotifEngine::Create(a, options).value().Count(options).value().counts;
+  const MotifCounts cb =
+      MotifEngine::Create(b, options).value().Count(options).value().counts;
+  for (int t = 1; t <= kNumHMotifs; ++t) EXPECT_EQ(ca[t], cb[t]) << t;
+}
 
 void ExpectSameGraph(const Hypergraph& a, const Hypergraph& b) {
   ASSERT_EQ(a.num_nodes(), b.num_nodes());
@@ -90,23 +146,57 @@ TEST(BinaryFormatTest, MappedViewsAreZeroCopyConsistent) {
   ScopedTempDir tmp;
   const std::string path = tmp.Path("views.mhg");
   ASSERT_TRUE(SaveHypergraphBinary(graph, path).ok());
-  auto mapped = MappedHypergraph::Open(path);
-  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  const MappedHypergraph& m = mapped.value();
-  ASSERT_EQ(m.num_edges(), graph.num_edges());
-  ASSERT_EQ(m.num_nodes(), graph.num_nodes());
-  ASSERT_EQ(m.num_pins(), graph.num_pins());
-  for (EdgeId e = 0; e < graph.num_edges(); ++e) {
-    const auto want = graph.edge(e);
-    const auto got = m.edge(e);
-    ASSERT_EQ(want.size(), got.size()) << "edge " << e;
-    for (size_t i = 0; i < want.size(); ++i) EXPECT_EQ(want[i], got[i]);
+  auto loaded = LoadHypergraphBinary(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const Hypergraph& m = loaded.value();
+  ExpectSameGraph(graph, m);
+  // Each span points into the one mapping at its section's file offset:
+  // the arrays were not copied out.
+  const std::string file = ReadTextFile(path).value();
+  const auto* base =
+      reinterpret_cast<const unsigned char*>(m.edge_offsets().data());
+  const void* sections[4] = {m.edge_offsets().data(), m.edge_nodes().data(),
+                             m.node_offsets().data(), m.node_edges().data()};
+  for (size_t s = 0; s < 4; ++s) {
+    EXPECT_EQ(static_cast<const unsigned char*>(sections[s]) - base,
+              static_cast<ptrdiff_t>(SectionOffset(file, s) - kHeaderBytes))
+        << "section " << s;
   }
-  // The spans point into one contiguous mapping, not into copies.
-  const auto* base = reinterpret_cast<const unsigned char*>(
-      m.edge_offsets().data());
-  EXPECT_GT(reinterpret_cast<const unsigned char*>(m.node_edges().data()),
-            base);
+}
+
+TEST(BinaryFormatTest, CopiesAndMovesOutliveTheMappedOriginal) {
+  const Hypergraph graph = RandomHypergraph(25, 50, 1, 6, 32);
+  ScopedTempDir tmp;
+  const std::string path = tmp.Path("shared.mhg");
+  ASSERT_TRUE(SaveHypergraphBinary(graph, path).ok());
+  std::optional<Hypergraph> original(LoadHypergraphBinary(path).value());
+  const Hypergraph copy = *original;
+  const Hypergraph moved = std::move(*original);
+  // A move shares the storage like a copy, so the source stays valid.
+  ExpectSameGraph(graph, *original);
+  EXPECT_EQ(copy.edge_nodes().data(), moved.edge_nodes().data());
+  original.reset();
+  EXPECT_TRUE(copy.Validate().ok());
+  EXPECT_TRUE(moved.Validate().ok());
+  ExpectSameGraph(graph, copy);
+  ExpectSameGraph(graph, moved);
+  ExpectSameExactCounts(graph, moved);
+}
+
+TEST(BinaryFormatTest, ResaveOverALoadedFileLeavesTheLoadedGraphIntact) {
+  const Hypergraph a = RandomHypergraph(30, 60, 1, 6, 33);
+  const Hypergraph b = RandomHypergraph(12, 20, 2, 4, 34);
+  ScopedTempDir tmp;
+  const std::string path = tmp.Path("resaved.mhg");
+  ASSERT_TRUE(SaveHypergraphBinary(a, path).ok());
+  const Hypergraph loaded = LoadHypergraphBinary(path).value();
+  // The save replaces the file by rename; an in-place truncation would
+  // make the next read of `loaded` fault.
+  ASSERT_TRUE(SaveHypergraphBinary(b, path).ok());
+  ExpectSameGraph(a, loaded);
+  ExpectSameExactCounts(a, loaded);
+  ExpectSameGraph(b, LoadHypergraphBinary(path).value());
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
 }
 
 TEST(BinaryFormatTest, MmapLoadedCountsBitIdenticalAcrossThreads) {
@@ -194,9 +284,62 @@ TEST(BinaryFormatTest, RejectsTruncatedHeader) {
   const std::string path = tmp.Path("truncated_header.mhg");
   // A file that starts like a container but ends mid-header.
   ASSERT_TRUE(WriteTextFile(path, std::string("MHG1\x01\x00\x00\x00", 8)).ok());
-  const auto result = MappedHypergraph::Open(path);
+  const auto result = LoadHypergraphBinary(path);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kOutOfRange);
+}
+
+TEST(BinaryFormatTest, RejectsHeaderCountsBeyondTheFile) {
+  const Hypergraph graph = RandomHypergraph(10, 20, 1, 4, 56);
+  ScopedTempDir tmp;
+  const std::string path = tmp.Path("huge_counts.mhg");
+  // Counts whose section lengths wrap around 2^64 to the real lengths:
+  // (2^61 + 1) * 8 and 2^62 * 4 overflow, so only a bound on the counts
+  // themselves keeps the spans inside the file.
+  for (const auto& [field, value] :
+       {std::pair<size_t, uint64_t>{24, (uint64_t{1} << 61) +
+                                            graph.num_edges()},
+        std::pair<size_t, uint64_t>{32, (uint64_t{1} << 62) +
+                                            graph.num_pins()}}) {
+    ASSERT_TRUE(SaveHypergraphBinary(graph, path).ok());
+    std::string file = ReadTextFile(path).value();
+    WriteU64At(&file, field, value);
+    ResealHeader(&file);
+    ASSERT_TRUE(WriteTextFile(path, file).ok());
+    const auto result = LoadHypergraphBinary(path);
+    ASSERT_FALSE(result.ok()) << "field " << field;
+    EXPECT_EQ(result.status().code(), StatusCode::kOutOfRange);
+  }
+}
+
+TEST(BinaryFormatTest, RejectsResealedEdgeOffsetsPastTheirArray) {
+  const Hypergraph graph = MakeHypergraph({{0, 1}, {2, 3}, {4, 5}}).value();
+  ScopedTempDir tmp;
+  const std::string path = tmp.Path("edge_offsets.mhg");
+  ASSERT_TRUE(SaveHypergraphBinary(graph, path).ok());
+  // Edge 0 would span 7 members of a 6-member array.
+  RewriteSection(path, 0, {0, 7, 4, 6});
+  const auto result = LoadHypergraphBinary(path);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInternal);
+  // Rejected by the offsets check, before any span is formed: a read
+  // past the section would stay inside the mapping, unseen by ASan.
+  EXPECT_NE(result.status().message().find("edge offsets"), std::string::npos)
+      << result.status().ToString();
+}
+
+TEST(BinaryFormatTest, RejectsResealedNonMonotoneNodeOffsets) {
+  const Hypergraph graph = MakeHypergraph({{0, 1}, {2, 3}, {4, 5}}).value();
+  ScopedTempDir tmp;
+  const std::string path = tmp.Path("node_offsets.mhg");
+  ASSERT_TRUE(SaveHypergraphBinary(graph, path).ok());
+  // Node 4 would span [5, 4): a negative length.
+  RewriteSection(path, 2, {0, 1, 2, 3, 5, 4, 6});
+  const auto result = LoadHypergraphBinary(path);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInternal);
+  EXPECT_NE(result.status().message().find("node offsets"), std::string::npos)
+      << result.status().ToString();
 }
 
 TEST(BinaryFormatTest, RejectsTruncatedSection) {

@@ -281,6 +281,14 @@ TEST(HashTest, PackPairIsOrderInsensitive) {
   EXPECT_EQ(PairSecond(PackPair(9, 3)), 9u);
 }
 
+TEST(HashTest, Fnv1a64MatchesPublishedVectors) {
+  EXPECT_EQ(Fnv1a64("", 0), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(Fnv1a64("a", 1), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(Fnv1a64("foobar", 6), 0x85944171f73967e8ULL);
+  // Chaining through the seed argument equals one pass.
+  EXPECT_EQ(Fnv1a64("bar", 3, Fnv1a64("foo", 3)), Fnv1a64("foobar", 6));
+}
+
 TEST(HashTest, HashIdSpanDiscriminates) {
   const uint32_t a[] = {1, 2, 3};
   const uint32_t b[] = {1, 2, 4};
