@@ -193,23 +193,22 @@ void BM_PairWeightStampArray(benchmark::State& state) {
 }
 BENCHMARK(BM_PairWeightStampArray);
 
-void BM_TripleIntersectionStamped(benchmark::State& state) {
+void BM_TripleIntersectionHubMasks(benchmark::State& state) {
   const Hypergraph& graph = TestGraph();
   ScratchArena arena;
-  arena.EnsureNodes(graph.num_nodes());
+  arena.EnsureEdges(graph.num_edges());
+  const PositionMasks& masks = arena.hub_masks;
   Rng rng(2);
   const size_t m = graph.num_edges();
   for (auto _ : state) {
     const EdgeId a = static_cast<EdgeId>(rng.UniformInt(m));
     const EdgeId b = static_cast<EdgeId>(rng.UniformInt(m));
     const EdgeId c = static_cast<EdgeId>(rng.UniformInt(m));
-    internal::StampHubNodes(graph, a, arena);
-    internal::StampPairNodes(graph, b, arena);
-    benchmark::DoNotOptimize(
-        internal::StampedTripleIntersection(graph, c, arena));
+    internal::PrepareHubMasks(graph, a, /*upper_only=*/false, arena.hub_masks);
+    benchmark::DoNotOptimize(masks.shared(masks.slot(b), masks.slot(c)));
   }
 }
-BENCHMARK(BM_TripleIntersectionStamped);
+BENCHMARK(BM_TripleIntersectionHubMasks);
 
 // Ablation: claiming overhead of the hub scheduler. Per-hub: one atomic
 // fetch_add per item (the pre-PR3 design). Chunked: one fetch_add per

@@ -95,8 +95,11 @@ void ParallelBlocks(
   });
 }
 
-std::vector<size_t> WorkChunkBoundaries(std::span<const uint64_t> cost,
-                                        size_t num_chunks) {
+namespace {
+
+template <typename Cost>
+std::vector<size_t> ChunkBoundaries(std::span<const Cost> cost,
+                                    size_t num_chunks) {
   const size_t n = cost.size();
   std::vector<size_t> boundaries;
   boundaries.push_back(0);
@@ -127,13 +130,14 @@ std::vector<size_t> WorkChunkBoundaries(std::span<const uint64_t> cost,
   return boundaries;
 }
 
-void ParallelWorkChunks(
-    std::span<const uint64_t> cost, size_t num_workers,
+template <typename Cost>
+void RunWorkChunks(
+    std::span<const Cost> cost, size_t num_workers,
     const std::function<void(size_t worker, size_t begin, size_t end)>& fn) {
   if (num_workers == 0) num_workers = 1;
   // ~16 claims per worker: fine enough that no worker idles behind a
   // straggler chunk, coarse enough that claiming vanishes from profiles.
-  const std::vector<size_t> chunks = WorkChunkBoundaries(cost, num_workers * 16);
+  const std::vector<size_t> chunks = ChunkBoundaries(cost, num_workers * 16);
   const size_t num_chunks = chunks.size() - 1;
   std::atomic<size_t> next_chunk{0};
   ParallelWorkers(num_workers, [&](size_t worker) {
@@ -143,6 +147,25 @@ void ParallelWorkChunks(
       fn(worker, chunks[c], chunks[c + 1]);
     }
   });
+}
+
+}  // namespace
+
+std::vector<size_t> WorkChunkBoundaries(std::span<const uint64_t> cost,
+                                        size_t num_chunks) {
+  return ChunkBoundaries(cost, num_chunks);
+}
+
+void ParallelWorkChunks(
+    std::span<const uint64_t> cost, size_t num_workers,
+    const std::function<void(size_t worker, size_t begin, size_t end)>& fn) {
+  RunWorkChunks(cost, num_workers, fn);
+}
+
+void ParallelWorkChunks(
+    std::span<const uint32_t> cost, size_t num_workers,
+    const std::function<void(size_t worker, size_t begin, size_t end)>& fn) {
+  RunWorkChunks(cost, num_workers, fn);
 }
 
 void ParallelFor(size_t n, size_t num_workers,

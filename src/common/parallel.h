@@ -76,6 +76,10 @@ std::vector<size_t> WorkChunkBoundaries(std::span<const uint64_t> cost,
 void ParallelWorkChunks(
     std::span<const uint64_t> cost, size_t num_workers,
     const std::function<void(size_t worker, size_t begin, size_t end)>& fn);
+/// The same over 32-bit costs, for cost vectors as long as their loop.
+void ParallelWorkChunks(
+    std::span<const uint32_t> cost, size_t num_workers,
+    const std::function<void(size_t worker, size_t begin, size_t end)>& fn);
 
 }  // namespace mochy
 

@@ -1,6 +1,7 @@
 #include "motif/mochy_aplus.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <span>
 #include <utility>
 #include <vector>
@@ -34,8 +35,8 @@ size_t SamplerThreads(const MochyAPlusOptions& options) {
   return static_cast<size_t>(std::min<uint64_t>(threads, options.num_samples));
 }
 
-/// Samples drawn, sorted and counted at a time: bounds the index buffer
-/// at 512 KB whatever r is.
+/// Samples drawn, sorted and counted at a time: bounds the draw and cost
+/// buffers at 768 KB whatever r is.
 constexpr uint64_t kSampleBlock = 65536;
 
 /// Maps the uniform wedge index `k` to its wedge (e_i, within-suffix rank)
@@ -46,6 +47,13 @@ std::pair<EdgeId, uint64_t> LocateWedge(std::span<const uint64_t> prefix,
   const auto it = std::upper_bound(prefix.begin(), prefix.end(), k);
   const size_t e = static_cast<size_t>(it - prefix.begin()) - 1;
   return {static_cast<EdgeId>(e), k - prefix[e]};
+}
+
+/// A located wedge (e_i, within) as one word, e_i in the high half. Wedge
+/// indices order wedges by (e_i, within), so packing a sorted block keeps
+/// it sorted and equal draws adjacent.
+uint64_t PackWedge(EdgeId ei, uint64_t within) {
+  return (uint64_t{ei} << 32) | within;
 }
 
 /// The neighbors of `ei` with id > ei: a suffix of the sorted `nbrs`.
@@ -75,9 +83,10 @@ void DrawSortedBlock(uint64_t seed, uint64_t wedges, uint64_t first,
 }
 
 /// The raw MoCHy-A+ census (slot 0 dropped), counted hub by hub. Each block
-/// of samples is drawn sorted and split across workers in chunks of
-/// near-equal cost: wedge_cost(e_i, within) ≈ |N_j| per distinct wedge,
-/// plus hub_cost(e_i) = |N_i| for the first wedge of each e_i. A worker
+/// of samples is drawn sorted, located once per distinct wedge (and packed,
+/// PackWedge) and split across workers in chunks of near-equal cost:
+/// wedge_cost(e_i, within) ≈ |N_j| per distinct wedge, plus hub_cost(e_i)
+/// = |N_i| for the first wedge of each e_i, saturated at 32 bits. A worker
 /// fetches N(e_i) and prepares the WedgeCensus hub once per group in its
 /// chunk, and adds each distinct wedge once, times its number of draws.
 /// `source_of(worker)` is the worker's neighbor source (with Fetch), for
@@ -94,7 +103,7 @@ MotifCounts CountSortedSamples(const Hypergraph& graph,
   const size_t block_size =
       static_cast<size_t>(std::min(num_samples, kSampleBlock));
   std::vector<uint64_t> block(block_size);
-  std::vector<uint64_t> cost(block_size);
+  std::vector<uint32_t> cost(block_size);
   std::vector<internal::PaddedCensus> partial(num_threads);
   const uint64_t max_edge_size = graph.max_edge_size();
   std::vector<internal::WedgeCensus> census(
@@ -108,15 +117,24 @@ MotifCounts CountSortedSamples(const Hypergraph& graph,
                           block_size, num_samples - first)));
     DrawSortedBlock(options.seed, wedges, first, num_threads, samples);
     EdgeId hub = kInvalidEdge;
+    uint64_t previous = 0;  // samples[s - 1] before packing
     for (size_t s = 0; s < samples.size(); ++s) {
-      cost[s] = 0;
-      if (s > 0 && samples[s] == samples[s - 1]) continue;
-      const auto [ei, within] = LocateWedge(wedge_prefix, samples[s]);
-      cost[s] = wedge_cost(ei, within) + (ei != hub ? hub_cost(ei) : 0);
+      const uint64_t k = samples[s];
+      if (s > 0 && k == previous) {
+        samples[s] = samples[s - 1];
+        cost[s] = 0;
+        continue;
+      }
+      previous = k;
+      const auto [ei, within] = LocateWedge(wedge_prefix, k);
+      samples[s] = PackWedge(ei, within);
+      cost[s] = static_cast<uint32_t>(std::min<uint64_t>(
+          wedge_cost(ei, within) + (ei != hub ? hub_cost(ei) : 0),
+          UINT32_MAX));
       hub = ei;
     }
     ParallelWorkChunks(
-        std::span<const uint64_t>(cost).first(samples.size()), num_threads,
+        std::span<const uint32_t>(cost).first(samples.size()), num_threads,
         [&](size_t worker, size_t begin, size_t end) {
           ScratchArena& arena = internal::ArenaFor(graph);
           auto& source = source_of(worker);
@@ -124,13 +142,14 @@ MotifCounts CountSortedSamples(const Hypergraph& graph,
           EdgeId chunk_hub = kInvalidEdge;
           std::span<const Neighbor> upper;
           for (size_t s = begin; s < end;) {
-            const uint64_t k = samples[s];
+            const uint64_t wedge = samples[s];
             size_t run_end = s + 1;
-            while (run_end < end && samples[run_end] == k) ++run_end;
-            const auto [ei, within] = LocateWedge(wedge_prefix, k);
+            while (run_end < end && samples[run_end] == wedge) ++run_end;
+            const EdgeId ei = static_cast<EdgeId>(wedge >> 32);
+            const uint64_t within = wedge & UINT32_MAX;
             if (ei != chunk_hub) {
               const auto nbrs_i = source.Fetch(ei, &hub_buffer[worker]);
-              wedge_census.PrepareHub(source, ei, nbrs_i, arena);
+              wedge_census.PrepareHub(source, ei, arena);
               upper = UpperSuffix(nbrs_i, ei);
               chunk_hub = ei;
             }

@@ -28,7 +28,7 @@ struct WedgeWorker {
   explicit WedgeWorker(const Hypergraph& graph)
       : builder(graph.num_edges()), census(graph.max_edge_size()) {}
   NeighborhoodBuilder builder;
-  std::vector<Neighbor> nbrs_i, nbrs_j;
+  std::vector<Neighbor> nbrs_j;
   internal::WedgeCensus census;
 };
 
@@ -100,15 +100,16 @@ Result<MochyWeightedResult> CountMotifsWeightedWedge(
         [&](size_t worker, size_t begin, size_t end) {
           ScratchArena& arena = internal::ArenaFor(graph);
           WedgeWorker& scratch = workers[worker];
+          const PositionMasks& masks = arena.hub_masks;
           for (size_t s = begin; s < end; ++s) {
             WedgeSample& sample = block[s];
-            scratch.builder.ComputeUnsorted(graph, sample.ei, &scratch.nbrs_i);
-            scratch.builder.ComputeUnsorted(graph, sample.ej, &scratch.nbrs_j);
-            sample.w_ij = graph.IntersectionSize(sample.ei, sample.ej);
+            // A group of one: hub e_i, whose masks give ω_ij, then its
+            // single wedge.
+            scratch.census.PrepareHub(graph, sample.ei, arena);
+            sample.w_ij = masks.count(masks.slot(sample.ej));
             MOCHY_DCHECK(sample.w_ij > 0);
+            scratch.builder.ComputeUnsorted(graph, sample.ej, &scratch.nbrs_j);
             sample.census.fill(0);
-            // A group of one: hub e_i, then its single wedge.
-            scratch.census.PrepareHub(graph, sample.ei, scratch.nbrs_i, arena);
             scratch.census.AddWedge(graph, sample.ej, sample.w_ij,
                                     scratch.nbrs_j, 1, arena, sample.census);
           }

@@ -8,9 +8,9 @@
 //  - ForEachHubClassParallel — counts without visiting open instances:
 //    open pairs by class per hub (OpenPairBuckets), plus every closed
 //    triple once with its class corrections (ForEachClosedTriple), in
-//    O(Σ_e |N_e| + Σ_e Σ_{f∈N⁺(e)} |N⁺(f)| + closed · max|e|), the last
-//    term (up to a log d factor) the triple intersections: MoCHy-E and
-//    the per-edge rows (MotifEngine::CountPerEdge).
+//    O(Σ_e (|N_e| + Σ_{v∈e} |E_v|) + Σ_e Σ_{f∈N⁺(e)} |N⁺(f)| · W), W =
+//    ⌈max|e|/64⌉ mask words per triple intersection: MoCHy-E and the
+//    per-edge rows (MotifEngine::CountPerEdge).
 //  - WedgeCensus — the instances containing the wedge {e_i, e_j}, by
 //    class, in two steps: PrepareHub(e_i) once, then AddWedge(e_j) for
 //    each wedge that shares e_i. MoCHy-A+ (materialized and lazy) runs
@@ -38,6 +38,7 @@
 // templates over a neighbor source, which provides
 //     edge_size(e) -> |e|
 //     edge(e)      -> e's member nodes
+//     edges_of(v)  -> E_v, the hyperedges holding node v, ascending
 //     neighbors(e) -> N(e) with weights, valid until the next call
 // (ProjectionSource, LazySource, DynamicHypergraph; a plain Hypergraph
 // serves WedgeCensus, whose neighborhoods — NeighborhoodBuilder output in
@@ -45,20 +46,21 @@
 // neighborhood sorted by edge id. The outer neighborhood a primitive
 // iterates is passed in explicitly and must stay valid for the whole call.
 //
-// Three dense-scratch tricks keep the step cheap (ForEachClosedTriple
-// stamps w(e_i, ·) over N⁺(e_i), counts all triple intersections of a
-// pair {e_i, e_j} in one node-major sweep, StampTripleIntersections, and
-// classifies through the inlined MotifClassifier):
+// Three dense-scratch tricks keep the step cheap (and the classifier is
+// the inlined MotifClassifier):
 //
 //  - hoisted edge sizes: |e| for all hyperedges in one contiguous
 //    uint32_t array, so the innermost loop reads 4 bytes instead of
 //    differencing two uint64 CSR offsets;
 //  - stamped pair weights: a projected neighborhood scattered into an
 //    epoch-stamped array turns the per-pair w_jk hash probe into one load;
-//  - stamped triple intersections: e_i is scattered into a node set once,
-//    e_i ∩ e_j once per pair (lazily, first closed triple only), after
-//    which |e_i ∩ e_j ∩ e_k| is a marked-count scan of e_k alone — Lemma 2
-//    with the two inner membership tests amortized to O(1).
+//  - hub position masks (PrepareHubMasks): one node-major pass over hub
+//    e_i gives each adjacent hyperedge x a slot and a ⌈|e_i|/64⌉-word mask
+//    of the e_i positions it covers. x ∈ N(e_i) is one load, ω(e_i, x) a
+//    popcount, and |e_i ∩ e_j ∩ e_k| the popcount of M_j & M_k — Lemma 2
+//    in O(1) per closed triple for hyperedges of up to 64 nodes, and
+//    exact for any size. Every primitive computes its ω(hub, ·) lookups
+//    and triple intersections this way.
 //
 // Everything here is bit-count-neutral: the kernels built on these produce
 // exactly the counts of the motif/reference.h baselines.
@@ -72,6 +74,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "common/scratch_arena.h"
@@ -140,7 +143,6 @@ template <typename Graph>
 ScratchArena& ArenaFor(const Graph& graph) {
   ScratchArena& arena = LocalScratchArena();
   arena.EnsureEdges(graph.num_edges());
-  arena.EnsureNodes(graph.num_nodes());
   return arena;
 }
 
@@ -152,6 +154,7 @@ struct ProjectionSource {
 
   uint64_t edge_size(EdgeId e) const { return size_of[e]; }
   std::span<const NodeId> edge(EdgeId e) const { return graph.edge(e); }
+  std::span<const EdgeId> edges_of(NodeId v) const { return graph.edges_of(v); }
   std::span<const Neighbor> neighbors(EdgeId e) const {
     return projection.neighbors(e);
   }
@@ -182,6 +185,9 @@ class LazySource {
 
   uint64_t edge_size(EdgeId e) const { return size_of_[e]; }
   std::span<const NodeId> edge(EdgeId e) const { return graph_.edge(e); }
+  std::span<const EdgeId> edges_of(NodeId v) const {
+    return graph_.edges_of(v);
+  }
 
   /// Copies N(e) into `*out`.
   std::span<const Neighbor> Fetch(EdgeId e, std::vector<Neighbor>* out) {
@@ -199,44 +205,40 @@ class LazySource {
   std::vector<Neighbor> inner_;
 };
 
-/// Scatters e_i's members into arena.node_hub (fresh epoch).
+/// Prepares hub position masks for hub e in `masks` (PositionMasks):
+/// one node-major pass that, for each position p of e and each hyperedge
+/// x ∋ e[p] other than e — above e only, when `upper_only` — sets bit p of
+/// x's mask. Afterwards x ∈ N(e) (N⁺(e)) exactly when x has a slot, and
+/// ω(e, x) = count(slot(x)), |e ∩ x ∩ y| = shared(slot(x), slot(y)).
+/// O(Σ_{v∈e} |E_v|) time, |N(e)| · ⌈|e|/64⌉ mask words.
 template <typename Source>
-void StampHubNodes(const Source& source, EdgeId ei, ScratchArena& arena) {
-  arena.node_hub.NewEpoch();
-  for (NodeId v : source.edge(ei)) arena.node_hub.Insert(v);
-}
-
-/// Scatters e_i ∩ e_j into arena.node_pair (fresh epoch); node_hub must
-/// hold e_i (StampHubNodes).
-template <typename Source>
-void StampPairNodes(const Source& source, EdgeId ej, ScratchArena& arena) {
-  arena.node_pair.NewEpoch();
-  for (NodeId v : source.edge(ej)) {
-    if (arena.node_hub.Test(v)) arena.node_pair.Insert(v);
+void PrepareHubMasks(const Source& source, EdgeId e, bool upper_only,
+                     PositionMasks& masks) {
+  const auto nodes = source.edge(e);
+  masks.Reset(nodes.size());
+  for (size_t p = 0; p < nodes.size(); ++p) {
+    const std::span<const EdgeId> edges = source.edges_of(nodes[p]);
+    // E_v ascends and holds e.
+    const size_t self = static_cast<size_t>(
+        std::lower_bound(edges.begin(), edges.end(), e) - edges.begin());
+    MOCHY_DCHECK(self < edges.size() && edges[self] == e);
+    if (!upper_only) masks.Mark(edges.first(self), p);
+    masks.Mark(edges.subspan(self + 1), p);
   }
-}
-
-/// |e_i ∩ e_j ∩ e_k| as a marked-count scan of e_k; node_pair must hold
-/// e_i ∩ e_j (StampPairNodes).
-template <typename Source>
-uint64_t StampedTripleIntersection(const Source& source, EdgeId ek,
-                                   const ScratchArena& arena) {
-  uint64_t count = 0;
-  for (NodeId v : source.edge(ek)) count += arena.node_pair.Test(v) ? 1 : 0;
-  return count;
 }
 
 /// Every instance hubbed at e_i (`nbrs` = N(e_i), sorted by edge id):
 /// pairs {e_j, e_k} of N(e_i), open instances at their unique hub and
 /// closed ones only from the smallest hub id (Algorithm 2, line 4). Visits
-/// pairs in (a, b) position order. Uses arena.edge_weight and both node
-/// sets.
+/// pairs in (a, b) position order. Uses arena.edge_weight and e_i's hub
+/// masks.
 template <typename Source, typename Sink>
 void ForEachHubTriple(Source& source, EdgeId ei, std::span<const Neighbor> nbrs,
                       ScratchArena& arena, Sink&& sink) {
   if (nbrs.size() < 2) return;
   const uint64_t size_i = source.edge_size(ei);
-  StampHubNodes(source, ei, arena);
+  const PositionMasks& masks = arena.hub_masks;
+  PrepareHubMasks(source, ei, /*upper_only=*/false, arena.hub_masks);
 
   for (size_t a = 0; a + 1 < nbrs.size(); ++a) {
     const EdgeId ej = nbrs[a].edge;
@@ -254,9 +256,7 @@ void ForEachHubTriple(Source& source, EdgeId ei, std::span<const Neighbor> nbrs,
       for (const Neighbor& n : nbrs_j) arena.edge_weight.Set(n.edge, n.weight);
     }
     auto cursor = nbrs_j.begin();
-    // e_i ∩ e_j is scattered lazily: only pairs that reach a closed
-    // triple pay for it.
-    bool pair_ready = false;
+    const uint32_t slot_j = masks.slot(ej);
 
     for (size_t b = a + 1; b < nbrs.size(); ++b) {
       const EdgeId ek = nbrs[b].edge;
@@ -270,14 +270,8 @@ void ForEachHubTriple(Source& source, EdgeId ei, std::span<const Neighbor> nbrs,
         if (cursor != nbrs_j.end() && cursor->edge == ek) w_jk = cursor->weight;
       }
       if (w_jk != 0 && ei >= std::min(ej, ek)) continue;
-      uint64_t w_ijk = 0;
-      if (w_jk != 0) {
-        if (!pair_ready) {
-          StampPairNodes(source, ej, arena);
-          pair_ready = true;
-        }
-        w_ijk = StampedTripleIntersection(source, ek, arena);
-      }
+      const uint64_t w_ijk =
+          w_jk == 0 ? 0 : masks.shared(slot_j, masks.slot(ek));
       sink(ej, ek,
            ClassifyMotifOrZero(size_i, size_j, source.edge_size(ek), w_ij,
                                w_jk, nbrs[b].weight, w_ijk));
@@ -285,38 +279,28 @@ void ForEachHubTriple(Source& source, EdgeId ei, std::span<const Neighbor> nbrs,
   }
 }
 
-/// Prepares `arena` for ForEachTripleContainingRange over edge e
-/// (`nbrs` = N(e)): w(e, ·) into arena.edge_weight2, e's nodes into
-/// arena.node_hub. The range calls only bump the edge_weight / node_pair
-/// epochs, so one preparation serves any number of ranges of e.
-template <typename Source>
-void StampContainingEdge(const Source& source, EdgeId e,
-                         std::span<const Neighbor> nbrs, ScratchArena& arena) {
-  arena.edge_weight2.NewEpoch();
-  for (const Neighbor& n : nbrs) arena.edge_weight2.Set(n.edge, n.weight);
-  StampHubNodes(source, e, arena);
-}
-
 /// Every instance containing e whose first neighbor, by position in
 /// `nbrs` = N(e), lies in [begin, end): for each e_j there, the triples
 /// {e, e_j, e_k} with e_k ∈ N(e_j) \ N(e) (open, hub e_j) and with e_k a
 /// later member of N(e) (unordered pairs once). Over [0, |N(e)|) that is
-/// each instance containing e exactly once. The arena must be prepared by
-/// StampContainingEdge; disjoint ranges may run concurrently on per-thread
-/// arenas.
+/// each instance containing e exactly once. arena.hub_masks must hold e's
+/// masks (PrepareHubMasks, not upper_only), which the range calls only
+/// read: one preparation serves any number of ranges of e, and disjoint
+/// ranges may run concurrently on per-thread arenas.
 template <typename Source, typename Sink>
 void ForEachTripleContainingRange(Source& source, EdgeId e,
                                   std::span<const Neighbor> nbrs, size_t begin,
                                   size_t end, ScratchArena& arena,
                                   Sink&& sink) {
-  const StampedWeights& w_e = arena.edge_weight2;  // w(e, ·) over N(e)
-  StampedWeights& w_j = arena.edge_weight;         // w(e_j, ·) ∩ N(e)
+  const PositionMasks& masks = arena.hub_masks;  // e's, over N(e)
+  StampedWeights& w_j = arena.edge_weight;       // w(e_j, ·) ∩ N(e)
   const uint64_t size_e = source.edge_size(e);
 
   for (size_t a = begin; a < end; ++a) {
     const EdgeId ej = nbrs[a].edge;
     const uint64_t w_ej = nbrs[a].weight;
     const uint64_t size_j = source.edge_size(ej);
+    const uint32_t slot_j = masks.slot(ej);
 
     // One pass over N(e_j): members also adjacent to e stamp w_jk for the
     // pair loop below, the rest are open triples with hub e_j and an
@@ -325,7 +309,7 @@ void ForEachTripleContainingRange(Source& source, EdgeId e,
     for (const Neighbor& nj : source.neighbors(ej)) {
       const EdgeId ek = nj.edge;
       if (ek == e) continue;
-      if (w_e.Test(ek)) {
+      if (masks.slot(ek) != 0) {
         w_j.Set(ek, nj.weight);
         continue;
       }
@@ -335,18 +319,11 @@ void ForEachTripleContainingRange(Source& source, EdgeId e,
                                /*w_ejk=*/0));
     }
 
-    bool pair_ready = false;
     for (size_t b = a + 1; b < nbrs.size(); ++b) {
       const EdgeId ek = nbrs[b].edge;
       const uint64_t w_jk = w_j.Get(ek);
-      uint64_t w_ejk = 0;
-      if (w_jk != 0) {
-        if (!pair_ready) {
-          StampPairNodes(source, ej, arena);
-          pair_ready = true;
-        }
-        w_ejk = StampedTripleIntersection(source, ek, arena);
-      }
+      const uint64_t w_ejk =
+          w_jk == 0 ? 0 : masks.shared(slot_j, masks.slot(ek));
       sink(ej, ek,
            ClassifyMotifOrZero(size_e, size_j, source.edge_size(ek), w_ej,
                                w_jk, nbrs[b].weight, w_ejk));
@@ -372,22 +349,19 @@ class OpenPairBuckets {
   template <typename Source>
   void Fill(const Source& source, uint64_t size_i,
             std::span<const Neighbor> nbrs) {
-    for (uint32_t key : keys_) index_of_[key] = kNone;
-    keys_.clear();
-    counts_.clear();
-    key_index_.resize(nbrs.size());
-    size_i_ = size_i;
+    Reset(size_i, nbrs.size());
     for (size_t p = 0; p < nbrs.size(); ++p) {
-      const uint32_t w = nbrs[p].weight;
-      const uint32_t key = 2 * w + (source.edge_size(nbrs[p].edge) > w ? 1 : 0);
-      uint32_t& index = index_of_[key];
-      if (index == kNone) {
-        index = static_cast<uint32_t>(keys_.size());
-        keys_.push_back(key);
-        counts_.push_back(0);
-      }
-      ++counts_[index];
-      key_index_[p] = index;
+      Add(p, source.edge_size(nbrs[p].edge), nbrs[p].weight);
+    }
+  }
+
+  /// Buckets N(e_i) from e_i's hub masks (PrepareHubMasks, not
+  /// upper_only), position slot - 1 for each slot.
+  template <typename Source>
+  void Fill(const Source& source, uint64_t size_i, const PositionMasks& masks) {
+    Reset(size_i, masks.num_slots());
+    for (uint32_t slot = 1; slot <= masks.num_slots(); ++slot) {
+      Add(slot - 1, source.edge_size(masks.id(slot)), masks.count(slot));
     }
   }
 
@@ -423,6 +397,27 @@ class OpenPairBuckets {
  private:
   static constexpr uint32_t kNone = ~uint32_t{0};
 
+  void Reset(uint64_t size_i, size_t num_neighbors) {
+    for (uint32_t key : keys_) index_of_[key] = kNone;
+    keys_.clear();
+    counts_.clear();
+    key_index_.resize(num_neighbors);
+    size_i_ = size_i;
+  }
+
+  /// Buckets the neighbor at `position`, of `size` nodes and ω = `w`.
+  void Add(size_t position, uint64_t size, uint64_t w) {
+    const uint32_t key = static_cast<uint32_t>(2 * w + (size > w ? 1 : 0));
+    uint32_t& index = index_of_[key];
+    if (index == kNone) {
+      index = static_cast<uint32_t>(keys_.size());
+      keys_.push_back(key);
+      counts_.push_back(0);
+    }
+    ++counts_[index];
+    key_index_[position] = index;
+  }
+
   std::vector<uint32_t> index_of_;   // key -> key index, kNone if unused
   std::vector<uint32_t> keys_;       // key index -> key
   std::vector<uint64_t> counts_;     // key index -> #neighbors
@@ -432,31 +427,28 @@ class OpenPairBuckets {
 };
 
 /// The instances containing a wedge {e_i, e_j}, by class, in two steps so
-/// that one hub serves every wedge that shares it. PrepareHub(e_i, N(e_i))
-/// stamps w(e_i, ·) into arena.edge_weight and buckets N(e_i) by key
-/// (OpenPairBuckets), O(|N_i|). AddWedge(e_j, ω_ij, N(e_j), times) then
-/// adds, `times` over, one instance per e_k adjacent to e_i or e_j: each
-/// e_k of N(e_i) but e_j as if open at hub e_i, by key, O(keys); each e_k
-/// of N(e_j) \ N(e_i) open at hub e_j; and each e_k of both, which closes
-/// the triple and alone is classified in full (with its triple
-/// intersection), taking back its hub-e_i entry. O(keys + |N_j| + closed ·
-/// |e_k|) per wedge. Neighborhoods need not be sorted. Uses
-/// arena.edge_weight and both node sets, which nothing else may touch
-/// between PrepareHub and the hub's last AddWedge. One per worker.
+/// that one hub serves every wedge that shares it. PrepareHub(e_i) builds
+/// e_i's hub masks (PrepareHubMasks) and, from them, buckets N(e_i) by key
+/// (OpenPairBuckets), O(Σ_{v∈e_i} |E_v|). AddWedge(e_j, ω_ij, N(e_j),
+/// times) then adds, `times` over, one instance per e_k adjacent to e_i or
+/// e_j: each e_k of N(e_i) but e_j as if open at hub e_i, by key, O(keys);
+/// each e_k of N(e_j) \ N(e_i) open at hub e_j; and each e_k of both, which
+/// closes the triple and alone is classified in full (its ω_ik and triple
+/// intersection from the masks), taking back its hub-e_i entry. O(keys +
+/// |N_j| + closed · ⌈|e_i|/64⌉) per wedge. Neighborhoods need not be
+/// sorted. Uses arena.hub_masks, which nothing else may touch between
+/// PrepareHub and the hub's last AddWedge. One per worker.
 class WedgeCensus {
  public:
   /// Sized for hyperedges of at most `max_edge_size` nodes.
   explicit WedgeCensus(uint64_t max_edge_size) : buckets_(max_edge_size) {}
 
   template <typename Source>
-  void PrepareHub(const Source& source, EdgeId ei,
-                  std::span<const Neighbor> nbrs_i, ScratchArena& arena) {
+  void PrepareHub(const Source& source, EdgeId ei, ScratchArena& arena) {
     ei_ = ei;
     size_i_ = source.edge_size(ei);
-    buckets_.Fill(source, size_i_, nbrs_i);
-    arena.edge_weight.NewEpoch();
-    for (const Neighbor& n : nbrs_i) arena.edge_weight.Set(n.edge, n.weight);
-    hub_nodes_ready_ = false;
+    PrepareHubMasks(source, ei, /*upper_only=*/false, arena.hub_masks);
+    buckets_.Fill(source, size_i_, arena.hub_masks);
   }
 
   /// Adds the instances containing {e_i, e_j} `times` over; e_j ∈ N(e_i)
@@ -464,7 +456,7 @@ class WedgeCensus {
   template <typename Source>
   void AddWedge(const Source& source, EdgeId ej, uint64_t w_ij,
                 std::span<const Neighbor> nbrs_j, int64_t times,
-                ScratchArena& arena, MotifCensus& census) {
+                const ScratchArena& arena, MotifCensus& census) {
     const uint64_t size_j = source.edge_size(ej);
     for (size_t a = 0; a < buckets_.num_keys(); ++a) {
       // ω + the private bit stands in for |e_k|: the same emptiness bits.
@@ -475,29 +467,20 @@ class WedgeCensus {
           times * static_cast<int64_t>(buckets_.count(a));
     }
     census[classify_.OpenClass(size_i_, size_j, size_j, w_ij, w_ij)] -= times;
-    const StampedWeights& w_i = arena.edge_weight;  // w(e_i, ·) over N(e_i)
-    // e_i's nodes and e_i ∩ e_j are scattered lazily: only hubs and wedges
-    // that reach a closed triple pay for the node passes.
-    bool pair_ready = false;
+    const PositionMasks& masks = arena.hub_masks;  // e_i's, over N(e_i)
+    const uint32_t slot_j = masks.slot(ej);
     for (const Neighbor& n : nbrs_j) {
       const EdgeId ek = n.edge;
       if (ek == ei_) continue;
       const uint64_t size_k = source.edge_size(ek);
-      const uint64_t w_ik = w_i.Get(ek);
-      if (w_ik == 0) {
+      const uint32_t slot_k = masks.slot(ek);
+      if (slot_k == 0) {
         census[classify_.OpenClass(size_j, size_i_, size_k, w_ij, n.weight)] +=
             times;
         continue;
       }
-      if (!pair_ready) {
-        if (!hub_nodes_ready_) {
-          StampHubNodes(source, ei_, arena);
-          hub_nodes_ready_ = true;
-        }
-        StampPairNodes(source, ej, arena);
-        pair_ready = true;
-      }
-      const uint64_t w_ijk = StampedTripleIntersection(source, ek, arena);
+      const uint64_t w_ik = masks.count(slot_k);
+      const uint64_t w_ijk = masks.shared(slot_j, slot_k);
       census[classify_(size_i_, size_j, size_k, w_ij, n.weight, w_ik, w_ijk)] +=
           times;
       census[classify_.OpenClass(size_i_, size_j, size_k, w_ij, w_ik)] -= times;
@@ -509,16 +492,15 @@ class WedgeCensus {
   MotifClassifier classify_;
   EdgeId ei_ = 0;
   uint64_t size_i_ = 0;
-  bool hub_nodes_ready_ = false;
 };
 
 /// The instances containing e (`nbrs` = N(e)), each once, added to
 /// `census` by class: every pair of N(e) as if open at hub e, through
 /// `buckets` (refilled here); for each e_j ∈ N(e), every e_k ∈ N(e_j)
 /// outside N(e) as open at hub e_j; and each closed {e, e_j, e_k} once (e_j
-/// < e_k), classified in full, taking back its hub-e pair class.
-/// O(|N_e| + keys² + Σ_j |N_j| + closed · |e_k|). Uses arena.edge_weight2
-/// for w(e, ·) and both node sets.
+/// < e_k), classified in full (its ω_ek and triple intersection from e's
+/// hub masks), taking back its hub-e pair class. O(Σ_{v∈e} |E_v| + keys² +
+/// Σ_j |N_j| + closed · ⌈|e|/64⌉). Uses arena.hub_masks.
 template <typename Source>
 void ContainingCensus(Source& source, const MotifClassifier& classify,
                       EdgeId e, std::span<const Neighbor> nbrs,
@@ -529,36 +511,25 @@ void ContainingCensus(Source& source, const MotifClassifier& classify,
   buckets.ForEachKeyPair([&census](size_t, size_t, uint64_t pairs, int id) {
     census[id] += static_cast<int64_t>(pairs);
   });
-  StampedWeights& w_e = arena.edge_weight2;  // w(e, ·) over N(e)
-  w_e.NewEpoch();
-  for (const Neighbor& n : nbrs) w_e.Set(n.edge, n.weight);
-  // e's nodes and e ∩ e_j are scattered lazily: only edges and pairs that
-  // reach a closed triple pay for the node passes.
-  bool hub_ready = false;
+  const PositionMasks& masks = arena.hub_masks;  // e's, over N(e)
+  PrepareHubMasks(source, e, /*upper_only=*/false, arena.hub_masks);
   for (const Neighbor& nj : nbrs) {
     const EdgeId ej = nj.edge;
     const uint64_t w_ej = nj.weight;
     const uint64_t size_j = source.edge_size(ej);
-    bool pair_ready = false;
+    const uint32_t slot_j = masks.slot(ej);
     for (const Neighbor& nk : source.neighbors(ej)) {
       const EdgeId ek = nk.edge;
       if (ek == e) continue;
       const uint64_t size_k = source.edge_size(ek);
-      const uint64_t w_ek = w_e.Get(ek);
-      if (w_ek == 0) {
+      const uint32_t slot_k = masks.slot(ek);
+      if (slot_k == 0) {
         ++census[classify.OpenClass(size_j, size_e, size_k, w_ej, nk.weight)];
         continue;
       }
       if (ek < ej) continue;  // closed: classified once, as e_j < e_k
-      if (!pair_ready) {
-        if (!hub_ready) {
-          StampHubNodes(source, e, arena);
-          hub_ready = true;
-        }
-        StampPairNodes(source, ej, arena);
-        pair_ready = true;
-      }
-      const uint64_t w_ejk = StampedTripleIntersection(source, ek, arena);
+      const uint64_t w_ek = masks.count(slot_k);
+      const uint64_t w_ejk = masks.shared(slot_j, slot_k);
       ++census[classify(size_e, size_j, size_k, w_ej, nk.weight, w_ek, w_ejk)];
       --census[classify.OpenClass(size_e, size_j, size_k, w_ej, w_ek)];
     }
@@ -610,30 +581,12 @@ inline std::vector<uint64_t> HubClassWorkEstimate(
   return cost;
 }
 
-/// |e_i ∩ e_j ∩ e_k| for every e_k > e_j at once, into arena.edge_weight2
-/// (fresh epoch; unset means 0): for each v ∈ e_i ∩ e_j, one increment per
-/// hyperedge of E_v above e_j. That is |e_j| membership tests, ω_ij binary
-/// searches and Σ_k |e_i ∩ e_j ∩ e_k| increments, instead of a scan of
-/// each e_k. node_hub must hold e_i (StampHubNodes).
-inline void StampTripleIntersections(const ProjectionSource& source,
-                                     EdgeId ej, ScratchArena& arena) {
-  StampedWeights& w_ijk = arena.edge_weight2;
-  w_ijk.NewEpoch();
-  for (NodeId v : source.edge(ej)) {
-    if (!arena.node_hub.Test(v)) continue;
-    const auto edges = source.graph.edges_of(v);  // sorted ascending
-    for (auto it = std::upper_bound(edges.begin(), edges.end(), ej);
-         it != edges.end(); ++it) {
-      w_ijk.Set(*it, w_ijk.Get(*it) + 1);
-    }
-  }
-}
-
 /// Every closed triple whose smallest member is e_i, once, as i < j < k:
-/// e_j from N⁺(e_i), e_k from N⁺(e_j), kept when a stamped w(e_i, ·) over
-/// N⁺(e_i) holds it. Calls sink(e_j, e_k, id, open_i, open_j, open_k)
-/// with the triple's class and its as-if-open class (OpenPairBuckets) at
-/// each of its three hubs. Uses both edge-indexed arrays and node_hub.
+/// e_j from N⁺(e_i), e_k from N⁺(e_j), kept when it holds a slot in e_i's
+/// hub masks over N⁺(e_i), which also give ω_ik and the triple
+/// intersection. Calls sink(e_j, e_k, id, open_i, open_j, open_k) with the
+/// triple's class and its as-if-open class (OpenPairBuckets) at each of its
+/// three hubs. Uses arena.hub_masks.
 template <typename Sink>
 void ForEachClosedTriple(const ProjectionSource& source, EdgeId ei,
                          const MotifClassifier& classify, ScratchArena& arena,
@@ -641,35 +594,23 @@ void ForEachClosedTriple(const ProjectionSource& source, EdgeId ei,
   const ProjectedGraph& projection = source.projection;
   const auto upper_i = projection.upper_neighbors(ei);
   if (upper_i.size() < 2) return;
-  StampedWeights& w_i = arena.edge_weight;  // w(e_i, ·) over N⁺(e_i)
-  w_i.NewEpoch();
-  for (const Neighbor& n : upper_i) w_i.Set(n.edge, n.weight);
-  const StampedWeights& w_ijk_of = arena.edge_weight2;
+  const PositionMasks& masks = arena.hub_masks;  // e_i's, over N⁺(e_i)
+  PrepareHubMasks(source, ei, /*upper_only=*/true, arena.hub_masks);
   const uint64_t size_i = source.edge_size(ei);
-  // e_i's nodes and the triple intersections of {e_i, e_j} are stamped
-  // lazily: only hubs and pairs that reach a closed triple pay for them.
-  bool hub_ready = false;
 
   for (const Neighbor& nj : upper_i) {
     const EdgeId ej = nj.edge;
     const uint64_t w_ij = nj.weight;
     const uint64_t size_j = source.edge_size(ej);
-    bool pair_ready = false;
+    const uint32_t slot_j = masks.slot(ej);
     for (const Neighbor& nk : projection.upper_neighbors(ej)) {
-      const uint64_t w_ik = w_i.Get(nk.edge);
-      if (w_ik == 0) continue;
-      if (!pair_ready) {
-        if (!hub_ready) {
-          StampHubNodes(source, ei, arena);
-          hub_ready = true;
-        }
-        StampTripleIntersections(source, ej, arena);
-        pair_ready = true;
-      }
+      const uint32_t slot_k = masks.slot(nk.edge);
+      if (slot_k == 0) continue;
       const EdgeId ek = nk.edge;
       const uint64_t w_jk = nk.weight;
+      const uint64_t w_ik = masks.count(slot_k);
       const uint64_t size_k = source.edge_size(ek);
-      const uint64_t w_ijk = w_ijk_of.Get(ek);
+      const uint64_t w_ijk = masks.shared(slot_j, slot_k);
       sink(ej, ek,
            classify(size_i, size_j, size_k, w_ij, w_jk, w_ik, w_ijk),
            classify.OpenClass(size_i, size_j, size_k, w_ij, w_ik),

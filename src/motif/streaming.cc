@@ -136,12 +136,14 @@ StreamingEngine::DeltaCounters StreamingEngine::EnumerateDelta(EdgeId e) {
 
   // The delta is the core's "instances containing e" over the live graph,
   // split by the first neighbor in N(e) (see docs/STREAMING.md). Each
-  // executing thread stamps N(e) and e's nodes once for the whole
-  // arrival, not per range: the scatter is O(Δ) and would otherwise be
-  // repaid ~16 times per worker.
+  // executing thread prepares e's hub masks once for the whole update,
+  // not per range: the pass is O(Δ) and would otherwise be repaid ~16
+  // times per worker. A removal runs this before graph_.RemoveEdge(e), so
+  // edges_of() still lists e, and only e among the removed ids.
   auto prepare = [&]() -> ScratchArena& {
     ScratchArena& arena = internal::ArenaFor(graph_);
-    internal::StampContainingEdge(graph_, e, nbrs, arena);
+    internal::PrepareHubMasks(graph_, e, /*upper_only=*/false,
+                              arena.hub_masks);
     return arena;
   };
   auto count_range = [&](size_t begin, size_t end, ScratchArena& arena,

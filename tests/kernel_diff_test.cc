@@ -17,6 +17,8 @@
 #include "common/parallel.h"
 #include "gen/generators.h"
 #include "hypergraph/builder.h"
+#include "hypergraph/lazy_projection.h"
+#include "hypergraph/projection.h"
 #include "motif/engine.h"
 #include "motif/mochy_a.h"
 #include "motif/mochy_aplus.h"
@@ -389,57 +391,63 @@ void ExpectCensusEqual(const internal::MotifCensus& got,
 
 Hypergraph HubSearchGraph();
 
+/// ContainingCensus for every edge and WedgeCensus for every wedge of
+/// `graph`, against per-instance classification.
+void ExpectCensusPrimitivesMatchClassification(const Hypergraph& graph) {
+  const auto projection = ProjectedGraph::Build(graph, 1).value();
+  const internal::ProjectionSource source(graph, projection);
+  const MotifClassifier classify;
+  const uint64_t max_edge_size = internal::MaxEdgeSize(source.size_of);
+  internal::OpenPairBuckets buckets(max_edge_size);
+  internal::WedgeCensus wedge_census(max_edge_size);
+  ScratchArena& arena = internal::ArenaFor(graph);
+  const std::string graph_label = "m=" + std::to_string(graph.num_edges());
+  for (EdgeId ei = 0; ei < graph.num_edges(); ++ei) {
+    // Every instance containing e_i: a second member from N(e_i), a
+    // third from N(e_i) ∪ N(e_j), each unordered pair once.
+    internal::MotifCensus want{};
+    for (const Neighbor& nj : projection.neighbors(ei)) {
+      for (EdgeId ek : NeighborUnion(projection, ei, nj.edge)) {
+        if (projection.Weight(ei, ek) != 0 && ek < nj.edge) continue;
+        ++want[ClassifyTriple(graph, ei, nj.edge, ek)];
+      }
+    }
+    internal::MotifCensus got{};
+    internal::ContainingCensus(source, classify, ei,
+                               projection.neighbors(ei), buckets, arena, got);
+    ExpectCensusEqual(got, want,
+                      graph_label + " containing e=" + std::to_string(ei));
+
+    // Every instance containing the wedge {e_i, e_j}, for each e_j of
+    // N(e_i) in turn — below and above e_i — from one hub preparation,
+    // each wedge added 1 to 3 times over.
+    const auto nbrs_i = projection.neighbors(ei);
+    wedge_census.PrepareHub(source, ei, arena);
+    for (size_t p = 0; p < nbrs_i.size(); ++p) {
+      const EdgeId ej = nbrs_i[p].edge;
+      const int64_t times = 1 + static_cast<int64_t>(p % 3);
+      internal::MotifCensus wedge_want{};
+      for (EdgeId ek : NeighborUnion(projection, ei, ej)) {
+        wedge_want[ClassifyTriple(graph, ei, ej, ek)] += times;
+      }
+      internal::MotifCensus wedge_got{};
+      wedge_census.AddWedge(source, ej, nbrs_i[p].weight,
+                            projection.neighbors(ej), times, arena,
+                            wedge_got);
+      ExpectCensusEqual(wedge_got, wedge_want,
+                        graph_label + " hub " + std::to_string(ei) +
+                            ", wedge {" + std::to_string(ei) + ", " +
+                            std::to_string(ej) + "}");
+    }
+  }
+}
+
 TEST(KernelDiffTest, CensusPrimitivesMatchPerInstanceClassification) {
   std::vector<Hypergraph> graphs = DiffCorpus();
   for (Hypergraph& graph : NestedCorpus()) graphs.push_back(std::move(graph));
   graphs.push_back(HubSearchGraph());
   for (const Hypergraph& graph : graphs) {
-    const auto projection = ProjectedGraph::Build(graph, 1).value();
-    const internal::ProjectionSource source(graph, projection);
-    const MotifClassifier classify;
-    const uint64_t max_edge_size = internal::MaxEdgeSize(source.size_of);
-    internal::OpenPairBuckets buckets(max_edge_size);
-    internal::WedgeCensus wedge_census(max_edge_size);
-    ScratchArena& arena = internal::ArenaFor(graph);
-    const std::string graph_label = "m=" + std::to_string(graph.num_edges());
-    for (EdgeId ei = 0; ei < graph.num_edges(); ++ei) {
-      // Every instance containing e_i: a second member from N(e_i), a
-      // third from N(e_i) ∪ N(e_j), each unordered pair once.
-      internal::MotifCensus want{};
-      for (const Neighbor& nj : projection.neighbors(ei)) {
-        for (EdgeId ek : NeighborUnion(projection, ei, nj.edge)) {
-          if (projection.Weight(ei, ek) != 0 && ek < nj.edge) continue;
-          ++want[ClassifyTriple(graph, ei, nj.edge, ek)];
-        }
-      }
-      internal::MotifCensus got{};
-      internal::ContainingCensus(source, classify, ei,
-                                 projection.neighbors(ei), buckets, arena, got);
-      ExpectCensusEqual(got, want,
-                        graph_label + " containing e=" + std::to_string(ei));
-
-      // Every instance containing the wedge {e_i, e_j}, for each e_j of
-      // N(e_i) in turn — below and above e_i — from one hub preparation,
-      // each wedge added 1 to 3 times over.
-      const auto nbrs_i = projection.neighbors(ei);
-      wedge_census.PrepareHub(source, ei, nbrs_i, arena);
-      for (size_t p = 0; p < nbrs_i.size(); ++p) {
-        const EdgeId ej = nbrs_i[p].edge;
-        const int64_t times = 1 + static_cast<int64_t>(p % 3);
-        internal::MotifCensus wedge_want{};
-        for (EdgeId ek : NeighborUnion(projection, ei, ej)) {
-          wedge_want[ClassifyTriple(graph, ei, ej, ek)] += times;
-        }
-        internal::MotifCensus wedge_got{};
-        wedge_census.AddWedge(source, ej, nbrs_i[p].weight,
-                              projection.neighbors(ej), times, arena,
-                              wedge_got);
-        ExpectCensusEqual(wedge_got, wedge_want,
-                          graph_label + " hub " + std::to_string(ei) +
-                              ", wedge {" + std::to_string(ei) + ", " +
-                              std::to_string(ej) + "}");
-      }
-    }
+    ExpectCensusPrimitivesMatchClassification(graph);
   }
 }
 
@@ -531,6 +539,160 @@ TEST(KernelDiffTest, StreamingArrivalThenRemovalMatchesReference) {
         ASSERT_TRUE(engine.RemoveEdge(e).ok());
       }
       expect_exact("after all removals");
+    }
+  }
+}
+
+/// Hubs of 63, 64, 65, 128 and 129 nodes — one-, two- and three-word
+/// position masks — each over its own node range, so hub position p is
+/// node base + p. Around each hub: a duplicate of it (its triples are no
+/// h-motif), a large neighbor holding the hub's upper half plus private
+/// nodes, and small neighbors whose overlap with the hub straddles the
+/// word boundaries 63|64 and 127|128 (and the first and last positions),
+/// with and without private nodes, closing triples whose intersections
+/// sit on those bits. One neighbor touches a node of every word and is
+/// duplicated. Bridges join consecutive hubs.
+Hypergraph WordBoundaryGraph() {
+  std::vector<std::vector<NodeId>> edges;
+  NodeId next = 0;  // next unused node id
+  std::vector<NodeId> bridge_ends;
+  for (const NodeId n : {63u, 64u, 65u, 128u, 129u}) {
+    const NodeId base = next;
+    next += n;
+    std::vector<NodeId> hub(n);
+    for (NodeId p = 0; p < n; ++p) hub[p] = base + p;
+    edges.push_back(hub);
+    edges.push_back(hub);
+    std::vector<NodeId> upper(hub.begin() + n / 2, hub.end());
+    for (NodeId q = 0; q < n / 2; ++q) upper.push_back(next++);
+    edges.push_back(upper);
+    for (const NodeId b : {1u, 63u, 64u, 65u, 127u, 128u, n - 1}) {
+      if (b >= n) continue;
+      const NodeId at = base + b;
+      edges.push_back({at - 1, at});
+      edges.push_back({at, next++});
+      edges.push_back({at - 1, at, next++});
+      if (b + 1 < n) edges.push_back({at - 1, at, at + 1});
+    }
+    std::set<NodeId> spread = {next++};
+    for (const NodeId p : {0u, 63u, 64u, 127u, 128u, n - 1}) {
+      if (p < n) spread.insert(base + p);
+    }
+    edges.emplace_back(spread.begin(), spread.end());
+    edges.emplace_back(spread.begin(), spread.end());
+    bridge_ends.push_back(base);
+    bridge_ends.push_back(base + n - 1);
+  }
+  for (size_t h = 1; h + 1 < bridge_ends.size(); h += 2) {
+    edges.push_back({bridge_ends[h], bridge_ends[h + 1], next++});
+  }
+  BuildOptions options;
+  options.dedup_edges = false;
+  return MakeHypergraph(edges, options).value();
+}
+
+TEST(KernelDiffTest, HubMasksAtWordBoundariesMatchOracles) {
+  const Hypergraph graph = WordBoundaryGraph();
+  ASSERT_EQ(graph.max_edge_size(), 129u);
+  const auto projection = ProjectedGraph::Build(graph, 1).value();
+  const MotifCounts want = reference::CountMotifsExact(graph, projection, 1);
+  ASSERT_GT(want.Total(), 0.0);
+  ExpectBitIdentical(want, testing::BruteForceCounts(graph), "brute force");
+  const std::string label = "word boundaries threads=";
+
+  // ForEachClosedTriple: MoCHy-E and the per-edge rows.
+  for (size_t threads : {1u, 4u}) {
+    ExpectBitIdentical(CountMotifsExact(graph, projection, threads), want,
+                       label + std::to_string(threads) + " exact");
+  }
+  ExpectPerEdgeRowsMatchBruteForce(graph);
+
+  // ForEachHubTriple: enumeration.
+  for (size_t threads : {1u, 4u}) {
+    std::vector<internal::PaddedCensus> parts(threads);
+    internal::ForEachInstanceParallel(
+        graph, projection, threads,
+        [&](size_t worker, EdgeId, EdgeId, EdgeId, int id) {
+          ++parts[worker].n[id];
+        });
+    ExpectBitIdentical(internal::SumCensus(parts), want,
+                       label + std::to_string(threads) + " enumeration");
+  }
+
+  // ContainingCensus and WedgeCensus, edge by edge and wedge by wedge.
+  ExpectCensusPrimitivesMatchClassification(graph);
+
+  // The samplers: MoCHy-A (ContainingCensus), MoCHy-A+ (WedgeCensus),
+  // materialized against the reference and lazy against materialized,
+  // and MoCHy-A+W against its reference.
+  const ProjectedDegrees degrees = ComputeProjectedDegrees(graph);
+  for (size_t threads : {1u, 4u}) {
+    const std::string at = label + std::to_string(threads);
+    MochyAOptions a;
+    a.num_samples = 3 * graph.num_edges();
+    a.seed = 5;
+    const MotifCounts a_want =
+        reference::CountMotifsEdgeSample(graph, projection, a);
+    a.num_threads = threads;
+    const MotifCounts a_got = CountMotifsEdgeSample(graph, projection, a);
+    ExpectBitIdentical(a_got, a_want, at + " mochy-a");
+    auto a_memo = ConcurrentLazyProjection::Create(graph, degrees, {}).value();
+    ExpectBitIdentical(CountMotifsEdgeSampleLazy(graph, *a_memo, a).value(),
+                       a_got, at + " lazy mochy-a");
+
+    MochyAPlusOptions ap;
+    ap.num_samples = 4000;
+    ap.seed = 5;
+    const MotifCounts ap_want =
+        reference::CountMotifsWedgeSample(graph, projection, ap);
+    ap.num_threads = threads;
+    const MotifCounts ap_got = CountMotifsWedgeSample(graph, projection, ap);
+    ExpectBitIdentical(ap_got, ap_want, at + " mochy-a+");
+    auto ap_memo = ConcurrentLazyProjection::Create(graph, degrees, {}).value();
+    ExpectBitIdentical(
+        CountMotifsWedgeSampleLazy(graph, degrees, *ap_memo, ap).value(),
+        ap_got, at + " lazy mochy-a+");
+
+    MochyWeightedOptions w;
+    w.num_samples = 3000;
+    w.seed = 5;
+    const MochyWeightedResult w_want =
+        reference::CountMotifsWeightedWedge(graph, w).value();
+    w.num_threads = threads;
+    const MochyWeightedResult w_got =
+        CountMotifsWeightedWedge(graph, w).value();
+    ExpectBitIdentical(w_got.counts, w_want.counts, at + " mochy-a+w");
+    EXPECT_EQ(w_got.estimated_num_wedges, w_want.estimated_num_wedges) << at;
+  }
+}
+
+TEST(KernelDiffTest, StreamingAddAllRemoveAllReturnsToZero) {
+  std::vector<Hypergraph> graphs = DuplicateSweep();
+  graphs.push_back(WordBoundaryGraph());
+  for (const Hypergraph& graph : graphs) {
+    const auto projection = ProjectedGraph::Build(graph, 1).value();
+    const MotifCounts want = reference::CountMotifsExact(graph, projection, 1);
+    for (size_t threads : {1u, 4u}) {
+      const std::string label = "m=" + std::to_string(graph.num_edges()) +
+                                " threads=" + std::to_string(threads);
+      StreamingOptions options;
+      options.num_threads = threads;
+      options.parallel_work_threshold = 0;  // fan out every delta pass
+      StreamingEngine engine(options);
+      for (EdgeId e = 0; e < graph.num_edges(); ++e) {
+        ASSERT_TRUE(engine.AddEdge(graph.edge(e)).ok());
+      }
+      ExpectBitIdentical(engine.counts(), want, label + " after arrivals");
+      // Newest first, so every removal delta runs while the edges removed
+      // before it are gone from edges_of().
+      for (EdgeId e = static_cast<EdgeId>(graph.num_edges()); e-- > 0;) {
+        ASSERT_TRUE(engine.RemoveEdge(e).ok());
+      }
+      ExpectBitIdentical(engine.counts(), MotifCounts(),
+                         label + " after removals");
+      EXPECT_EQ(engine.stats().new_instances,
+                engine.stats().removed_instances)
+          << label;
     }
   }
 }
