@@ -1123,7 +1123,7 @@ int Main(int argc, char** argv) {
     // regression gate measures the kernel, not timer jitter; the sample
     // floor pulls the (otherwise sub-ms) sampler kernels up too.
     if (config.scale <= 0.0) config.scale = 0.2;
-    if (config.repeat <= 0) config.repeat = 15;
+    if (config.repeat <= 0) config.repeat = 5;
     config.min_samples = 5000;
     if (config.tag == "report") config.tag = "smoke";
   } else {

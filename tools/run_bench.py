@@ -147,9 +147,6 @@ def main() -> int:
                         help="repeats per kernel; wall time is the minimum")
     parser.add_argument("--smoke", action="store_true",
                         help="one small graph, quick repeats (CI payload)")
-    parser.add_argument("--runs", type=int, default=None,
-                        help="harness runs; each row keeps its fastest "
-                             "(default: 5 with --smoke, else 1)")
     parser.add_argument("--baseline", default=None,
                         help="baseline BENCH_*.json to compare against")
     parser.add_argument("--check", action="store_true",
@@ -176,10 +173,10 @@ def main() -> int:
         cmd += ["--threads", str(args.threads)]
     if args.repeat is not None:
         cmd += ["--repeat", str(args.repeat)]
-    runs = args.runs if args.runs is not None else (5 if args.smoke else 1)
+    runs = 5 if args.smoke else 1
     reports = []
     try:
-        for _ in range(max(runs, 1)):
+        for _ in range(runs):
             run(cmd)
             reports.append(json.loads(out_path.read_text()))
     except subprocess.CalledProcessError as error:
