@@ -40,7 +40,6 @@
 #include "motif/mochy_aplus.h"
 #include "motif/mochy_e.h"
 #include "motif/mochy_weighted.h"
-#include "motif/per_edge.h"
 #include "motif/reference.h"
 #include "motif/streaming.h"
 #include "serve/client.h"
@@ -360,10 +359,10 @@ GraphReport MeasureGraph(const std::string& name, const Hypergraph& graph,
     row.hubs_per_s = row.wall_s > 0.0 ? m / row.wall_s : 0.0;
     report.kernels.push_back(row);
     const PerEdgeCounts oracle_rows =
-        ComputePerEdgeMotifCounts(graph, projection);
+        reference::ComputePerEdgeMotifCounts(graph, projection);
     if (engine_rows != oracle_rows) {
       std::fprintf(stderr, "FATAL: %s: engine per-edge rows diverge from "
-                           "the free-function kernel\n",
+                           "the reference oracle\n",
                    name.c_str());
       std::exit(1);
     }

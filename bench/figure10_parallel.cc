@@ -22,7 +22,9 @@ int main() {
       DefaultConfig(Domain::kThreads, bench::BenchScale(0.4));
   config.seed = 5;
   const Hypergraph graph = GenerateDomainHypergraph(config).value();
-  const MotifEngine engine = MotifEngine::Create(graph, 4).value();
+  EngineOptions build;
+  build.num_threads = 4;
+  const MotifEngine engine = MotifEngine::Create(graph, build).value();
   const uint64_t samples = engine.projection().num_wedges() / 4;
   std::printf("dataset: |E| = %zu, |wedges| = %llu, A+ samples = %llu\n",
               graph.num_edges(),

@@ -28,7 +28,9 @@ int main() {
   const Hypergraph graph = GenerateDomainHypergraph(config).value();
 
   // Materialized reference: the engine default, full projection resident.
-  const MotifEngine eager = MotifEngine::Create(graph, 2).value();
+  EngineOptions build;
+  build.num_threads = 2;
+  const MotifEngine eager = MotifEngine::Create(graph, build).value();
   const uint64_t full_bytes = eager.projection().MemoryBytes();
 
   EngineOptions options;

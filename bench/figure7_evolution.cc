@@ -93,13 +93,13 @@ int main() {
   const double recount_wall = recount_timer.Seconds();
 
   std::printf("\nincremental replay: %zu arrivals in %.3fs (%.0f arrivals/s, "
-              "%llu candidate triples)\n",
+              "%llu instances)\n",
               trace.size(), streaming_wall,
               streaming_wall > 0
                   ? static_cast<double>(trace.size()) / streaming_wall
                   : 0.0,
               static_cast<unsigned long long>(
-                  incremental.stats.candidate_triples));
+                  incremental.stats.new_instances));
   std::printf("rebuild+recount per year: %.3fs -> incremental speedup "
               "%.1fx  [%s]\n",
               recount_wall,

@@ -21,7 +21,9 @@ int main() {
     GeneratorConfig config = DefaultConfig(domain, bench::BenchScale());
     config.seed = 5;
     const Hypergraph graph = GenerateDomainHypergraph(config).value();
-    const MotifEngine engine = MotifEngine::Create(graph, 2).value();
+    EngineOptions build;
+    build.num_threads = 2;
+    const MotifEngine engine = MotifEngine::Create(graph, build).value();
 
     EngineOptions exact_options;
     exact_options.algorithm = Algorithm::kExact;

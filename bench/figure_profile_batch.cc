@@ -41,7 +41,7 @@ ProfileVector BaselineProfile(const Hypergraph& graph, size_t threads) {
   count_options.num_threads = threads;
 
   auto count_one = [&](const Hypergraph& g) {
-    auto engine = MotifEngine::Create(g, threads);
+    auto engine = MotifEngine::Create(g, count_options);
     MOCHY_CHECK(engine.ok()) << engine.status().ToString();
     auto result = engine.value().Count(count_options);
     MOCHY_CHECK(result.ok()) << result.status().ToString();

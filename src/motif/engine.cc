@@ -51,6 +51,14 @@ double MeanRelativeVariance(const VarianceTerms& terms, Algorithm algorithm,
   return nonzero == 0 ? 0.0 : sum / nonzero;
 }
 
+/// The materialized engine: builds the full projected graph of `graph` on
+/// `num_threads` (resolved, ≥ 1) workers and wraps both.
+Result<MotifEngine> Materialize(const Hypergraph& graph, size_t num_threads) {
+  auto projection = ProjectedGraph::Build(graph, num_threads);
+  if (!projection.ok()) return projection.status();
+  return MotifEngine(graph, std::move(projection).value());
+}
+
 }  // namespace
 
 const char* AlgorithmName(Algorithm algorithm) {
@@ -180,10 +188,9 @@ std::string EngineStats::ToString() const {
 
 Result<MotifEngine> MotifEngine::Create(const Hypergraph& graph,
                                         size_t num_threads) {
-  if (num_threads == 0) num_threads = DefaultThreadCount();
-  auto projection = ProjectedGraph::Build(graph, num_threads);
-  if (!projection.ok()) return projection.status();
-  return MotifEngine(graph, std::move(projection).value());
+  EngineOptions options;
+  options.num_threads = num_threads;
+  return Create(graph, options);
 }
 
 Result<MotifEngine> MotifEngine::Create(const Hypergraph& graph,
@@ -195,7 +202,7 @@ Result<MotifEngine> MotifEngine::Create(const Hypergraph& graph,
   if (options.projection == ProjectionPolicy::kMaterialized ||
       (options.projection == ProjectionPolicy::kAuto &&
        options.memory_budget == 0)) {
-    return Create(graph, num_threads);
+    return Materialize(graph, num_threads);
   }
 
   // The lazy-vs-materialized decision needs only the wedge index — an
@@ -226,14 +233,14 @@ Result<MotifEngine> MotifEngine::Create(const Hypergraph& graph,
           "memory budget); pick a sampling algorithm, or use kAuto / "
           "kMaterialized");
     }
-    return Create(graph, num_threads);
+    return Materialize(graph, num_threads);
   }
 
   const uint64_t estimate = EstimateProjectionBytes(degrees);
   const bool lazy =
       options.projection == ProjectionPolicy::kLazy ||
       (options.memory_budget > 0 && estimate > options.memory_budget);
-  if (!lazy) return Create(graph, num_threads);
+  if (!lazy) return Materialize(graph, num_threads);
 
   MotifEngine engine(graph);
   engine.materialized_ = false;

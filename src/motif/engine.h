@@ -251,13 +251,10 @@ struct PerEdgeResult {
 /// graphs in one call, see BatchRunner in motif/batch.h.
 class MotifEngine {
  public:
-  /// Builds the full projected graph of `graph` with `num_threads`
-  /// workers (0 = DefaultThreadCount()) and wraps both — i.e. always
-  /// ProjectionPolicy::kMaterialized. `graph` must outlive the engine;
-  /// Count() never mutates it, so one engine can serve many calls.
-  static Result<MotifEngine> Create(const Hypergraph& graph,
-                                    size_t num_threads = 0);
-
+  /// Builds the engine of `graph`, which must outlive it; Count() never
+  /// mutates the graph, so one engine can serve many calls. The default
+  /// options materialize the projected graph on one worker.
+  ///
   /// Policy-aware construction: resolves `options.projection` against
   /// `options.memory_budget` and `options.algorithm`. Exact counting
   /// needs the materialized projection, so kAuto falls back to it; an
@@ -275,7 +272,13 @@ class MotifEngine {
   /// anyway, setup costs roughly one extra such sweep over plain
   /// kMaterialized. Pass kMaterialized when you already know it fits.
   static Result<MotifEngine> Create(const Hypergraph& graph,
-                                    const EngineOptions& options);
+                                    const EngineOptions& options = {});
+
+  /// Create(graph, options) with only `num_threads` set (0 =
+  /// DefaultThreadCount()). perfbench's serve workload still calls this
+  /// form; library, tools and tests pass EngineOptions.
+  static Result<MotifEngine> Create(const Hypergraph& graph,
+                                    size_t num_threads);
 
   /// Wraps an already-built projection (must match `graph`).
   MotifEngine(const Hypergraph& graph, ProjectedGraph projection);

@@ -10,6 +10,7 @@
 #include "common/logging.h"
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "motif/enumerate.h"
 
 namespace mochy::reference {
 
@@ -351,6 +352,18 @@ Result<MochyWeightedResult> CountMotifsWeightedWedge(
     for (EdgeId e : touched_j) count_j[e] = 0;
   }
   return result;
+}
+
+std::vector<std::array<double, kNumHMotifs>> ComputePerEdgeMotifCounts(
+    const Hypergraph& graph, const ProjectedGraph& projection) {
+  std::vector<std::array<double, kNumHMotifs>> rows(graph.num_edges());
+  for (auto& row : rows) row.fill(0.0);
+  EnumerateInstances(graph, projection, [&](const MotifInstance& inst) {
+    rows[inst.i][inst.motif - 1] += 1.0;
+    rows[inst.j][inst.motif - 1] += 1.0;
+    rows[inst.k][inst.motif - 1] += 1.0;
+  });
+  return rows;
 }
 
 }  // namespace mochy::reference

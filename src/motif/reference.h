@@ -1,5 +1,6 @@
 /// \file
-/// Retained pre-stamp-array counting kernels (the hash-probe baselines).
+/// Retained pre-stamp-array counting kernels (the hash-probe baselines)
+/// and the per-edge oracle.
 ///
 /// These are the MoCHy-E/A/A+ implementations as they stood before the
 /// stamp-array rewrite, and the MoCHy-A+W loop as it stood before the
@@ -17,9 +18,14 @@
 ///    stamp-array design against the design it replaced.
 ///
 /// They accept the same options structs as the production entry points and
-/// follow the same num_threads contract (0 = DefaultThreadCount()).
+/// follow the same num_threads contract (0 = DefaultThreadCount()). The
+/// per-edge oracle, ComputePerEdgeMotifCounts, is the serial full
+/// enumeration MotifEngine::CountPerEdge must match row for row.
 #ifndef MOCHY_MOTIF_REFERENCE_H_
 #define MOCHY_MOTIF_REFERENCE_H_
+
+#include <array>
+#include <vector>
 
 #include "hypergraph/hypergraph.h"
 #include "hypergraph/projection.h"
@@ -27,6 +33,7 @@
 #include "motif/mochy_a.h"
 #include "motif/mochy_aplus.h"
 #include "motif/mochy_weighted.h"
+#include "motif/pattern.h"
 
 namespace mochy::reference {
 
@@ -50,6 +57,12 @@ MotifCounts CountMotifsWedgeSample(const Hypergraph& graph,
 /// intersections. Same draws, same estimates, bit for bit.
 Result<MochyWeightedResult> CountMotifsWeightedWedge(
     const Hypergraph& graph, const MochyWeightedOptions& options = {});
+
+/// Per-hyperedge participation rows by serial full enumeration:
+/// row[e][t-1] = number of h-motif-t instances containing hyperedge e.
+/// Every instance contributes to the rows of its three member hyperedges.
+std::vector<std::array<double, kNumHMotifs>> ComputePerEdgeMotifCounts(
+    const Hypergraph& graph, const ProjectedGraph& projection);
 
 }  // namespace mochy::reference
 

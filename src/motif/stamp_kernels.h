@@ -16,23 +16,24 @@
 //    each wedge that shares e_i. MoCHy-A+ (materialized and lazy) runs
 //    its sorted samples hub by hub through it; the weighted sampler
 //    MoCHy-A+W calls it as a group of one per sample.
-//  - ContainingCensus — the instances containing edge e, by class:
-//    MoCHy-A (materialized and lazy) and the Table-4 HM26 candidate rows.
+//  - ContainingCensus — the instances containing edge e, by class, as
+//    two halves: the hub-e pair term (ContainingPairCensus) and a census
+//    over a range of N(e) (ContainingRangeCensus). MoCHy-A (materialized
+//    and lazy) and the Table-4 HM26 candidate rows run the whole; the
+//    streaming arrival/removal delta splits its range half over threads.
 //  - ForEachHubTriple — instances hubbed at e_i, so that a sweep over all
 //    hubs visits every instance exactly once, O(Σ_e |N_e|²) pairs: the
 //    paths that need each instance, instance enumeration and the
 //    variance terms, through ForEachInstanceParallel.
-//  - ForEachTripleContainingRange — instances containing edge e, over a
-//    range of N(e): the streaming arrival/removal delta.
 //
-// The two census primitives add integers into a MotifCensus, indexed by
+// The census primitives add integers into a MotifCensus, indexed by
 // motif id; slot 0 (no h-motif) is dropped by every reader. They classify
 // in full only the closed triples; an open triple's class is its
 // as-if-open class at its hub (MotifClassifier::OpenClass), a table
-// lookup. The last two primitives call an inlined sink as sink(e_j, e_k,
-// id) for every candidate triple, with id 0 for a triple that is no
-// h-motif (duplicated hyperedges, paper Figure 4), so callers that keep
-// candidate statistics see them all.
+// lookup. ForEachHubTriple is the only sink primitive: it calls an
+// inlined sink as sink(e_j, e_k, id) for every candidate triple, with id
+// 0 for a triple that is no h-motif (duplicated hyperedges, paper
+// Figure 4), which its callers skip.
 //
 // All but ForEachHubClassParallel (materialized projection only) are
 // templates over a neighbor source, which provides
@@ -279,58 +280,6 @@ void ForEachHubTriple(Source& source, EdgeId ei, std::span<const Neighbor> nbrs,
   }
 }
 
-/// Every instance containing e whose first neighbor, by position in
-/// `nbrs` = N(e), lies in [begin, end): for each e_j there, the triples
-/// {e, e_j, e_k} with e_k ∈ N(e_j) \ N(e) (open, hub e_j) and with e_k a
-/// later member of N(e) (unordered pairs once). Over [0, |N(e)|) that is
-/// each instance containing e exactly once. arena.hub_masks must hold e's
-/// masks (PrepareHubMasks, not upper_only), which the range calls only
-/// read: one preparation serves any number of ranges of e, and disjoint
-/// ranges may run concurrently on per-thread arenas.
-template <typename Source, typename Sink>
-void ForEachTripleContainingRange(Source& source, EdgeId e,
-                                  std::span<const Neighbor> nbrs, size_t begin,
-                                  size_t end, ScratchArena& arena,
-                                  Sink&& sink) {
-  const PositionMasks& masks = arena.hub_masks;  // e's, over N(e)
-  StampedWeights& w_j = arena.edge_weight;       // w(e_j, ·) ∩ N(e)
-  const uint64_t size_e = source.edge_size(e);
-
-  for (size_t a = begin; a < end; ++a) {
-    const EdgeId ej = nbrs[a].edge;
-    const uint64_t w_ej = nbrs[a].weight;
-    const uint64_t size_j = source.edge_size(ej);
-    const uint32_t slot_j = masks.slot(ej);
-
-    // One pass over N(e_j): members also adjacent to e stamp w_jk for the
-    // pair loop below, the rest are open triples with hub e_j and an
-    // empty triple intersection, classified on the spot.
-    w_j.NewEpoch();
-    for (const Neighbor& nj : source.neighbors(ej)) {
-      const EdgeId ek = nj.edge;
-      if (ek == e) continue;
-      if (masks.slot(ek) != 0) {
-        w_j.Set(ek, nj.weight);
-        continue;
-      }
-      sink(ej, ek,
-           ClassifyMotifOrZero(size_e, size_j, source.edge_size(ek), w_ej,
-                               /*w_jk=*/nj.weight, /*w_ek=*/0,
-                               /*w_ejk=*/0));
-    }
-
-    for (size_t b = a + 1; b < nbrs.size(); ++b) {
-      const EdgeId ek = nbrs[b].edge;
-      const uint64_t w_jk = w_j.Get(ek);
-      const uint64_t w_ejk =
-          w_jk == 0 ? 0 : masks.shared(slot_j, masks.slot(ek));
-      sink(ej, ek,
-           ClassifyMotifOrZero(size_e, size_j, source.edge_size(ek), w_ej,
-                               w_jk, nbrs[b].weight, w_ejk));
-    }
-  }
-}
-
 /// N(e_i) bucketed by key (ω_ij, [|e_j| > ω_ij]). Were e_j and e_k
 /// disjoint, {e_i, e_j, e_k} would be the open instance hubbed at e_i of
 /// class ClassifyMotifOrZero(|e_i|, |e_j|, |e_k|, ω_ij, 0, ω_ik, 0) — its
@@ -340,7 +289,7 @@ void ForEachTripleContainingRange(Source& source, EdgeId e,
 /// O(|N_i|²) pair loop. One per worker; reusable across hubs.
 class OpenPairBuckets {
  public:
-  /// Sized for hyperedges of at most `max_edge_size` nodes (ω ≤ that).
+  /// Sized for hubs of at most `max_edge_size` nodes (every ω ≤ that).
   explicit OpenPairBuckets(uint64_t max_edge_size)
       : index_of_(2 * max_edge_size + 2, kNone) {}
 
@@ -494,26 +443,37 @@ class WedgeCensus {
   uint64_t size_i_ = 0;
 };
 
-/// The instances containing e (`nbrs` = N(e)), each once, added to
-/// `census` by class: every pair of N(e) as if open at hub e, through
-/// `buckets` (refilled here); for each e_j ∈ N(e), every e_k ∈ N(e_j)
-/// outside N(e) as open at hub e_j; and each closed {e, e_j, e_k} once (e_j
-/// < e_k), classified in full (its ω_ek and triple intersection from e's
-/// hub masks), taking back its hub-e pair class. O(Σ_{v∈e} |E_v| + keys² +
-/// Σ_j |N_j| + closed · ⌈|e|/64⌉). Uses arena.hub_masks.
+/// The hub-e pair term of ContainingCensus: every pair of `nbrs` = N(e)
+/// as if open at hub e, through `buckets` (refilled here), added to
+/// `census` by class. O(|N(e)| + keys²).
 template <typename Source>
-void ContainingCensus(Source& source, const MotifClassifier& classify,
-                      EdgeId e, std::span<const Neighbor> nbrs,
-                      OpenPairBuckets& buckets, ScratchArena& arena,
-                      MotifCensus& census) {
-  const uint64_t size_e = source.edge_size(e);
-  buckets.Fill(source, size_e, nbrs);
+void ContainingPairCensus(const Source& source, EdgeId e,
+                          std::span<const Neighbor> nbrs,
+                          OpenPairBuckets& buckets, MotifCensus& census) {
+  buckets.Fill(source, source.edge_size(e), nbrs);
   buckets.ForEachKeyPair([&census](size_t, size_t, uint64_t pairs, int id) {
     census[id] += static_cast<int64_t>(pairs);
   });
+}
+
+/// The rest of ContainingCensus over positions [begin, end) of `nbrs` =
+/// N(e): for each e_j there, every e_k ∈ N(e_j) outside N(e) as open at
+/// hub e_j, and each closed {e, e_j, e_k} with e_j < e_k classified in
+/// full (its ω_ek and triple intersection from e's hub masks), taking back
+/// its hub-e pair class. The pair term plus the ranges of any partition
+/// of N(e) is ContainingCensus(e). arena.hub_masks must hold e's masks
+/// (PrepareHubMasks, not upper_only), which this only reads: one
+/// preparation serves any number of ranges of e, and disjoint ranges may
+/// run concurrently on per-thread arenas. O(Σ_j |N_j| + closed ·
+/// ⌈|e|/64⌉).
+template <typename Source>
+void ContainingRangeCensus(Source& source, const MotifClassifier& classify,
+                           EdgeId e, std::span<const Neighbor> nbrs,
+                           size_t begin, size_t end, const ScratchArena& arena,
+                           MotifCensus& census) {
+  const uint64_t size_e = source.edge_size(e);
   const PositionMasks& masks = arena.hub_masks;  // e's, over N(e)
-  PrepareHubMasks(source, e, /*upper_only=*/false, arena.hub_masks);
-  for (const Neighbor& nj : nbrs) {
+  for (const Neighbor& nj : nbrs.subspan(begin, end - begin)) {
     const EdgeId ej = nj.edge;
     const uint64_t w_ej = nj.weight;
     const uint64_t size_j = source.edge_size(ej);
@@ -534,6 +494,21 @@ void ContainingCensus(Source& source, const MotifClassifier& classify,
       --census[classify.OpenClass(size_e, size_j, size_k, w_ej, w_ek)];
     }
   }
+}
+
+/// The instances containing e (`nbrs` = N(e)), each once, added to
+/// `census` by class: ContainingPairCensus, then e's hub masks, then
+/// ContainingRangeCensus over all of N(e). O(Σ_{v∈e} |E_v| + keys² +
+/// Σ_j |N_j| + closed · ⌈|e|/64⌉). Uses arena.hub_masks.
+template <typename Source>
+void ContainingCensus(Source& source, const MotifClassifier& classify,
+                      EdgeId e, std::span<const Neighbor> nbrs,
+                      OpenPairBuckets& buckets, ScratchArena& arena,
+                      MotifCensus& census) {
+  ContainingPairCensus(source, e, nbrs, buckets, census);
+  PrepareHubMasks(source, e, /*upper_only=*/false, arena.hub_masks);
+  ContainingRangeCensus(source, classify, e, nbrs, 0, nbrs.size(), arena,
+                        census);
 }
 
 /// The sampling loop of MoCHy-A. Sample n of `num_samples`

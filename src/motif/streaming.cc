@@ -32,12 +32,6 @@ std::string StreamingStats::ToString() const {
   return buffer;
 }
 
-struct StreamingEngine::DeltaCounters {
-  MotifCounts counts;
-  uint64_t candidates = 0;
-  uint64_t instances = 0;
-};
-
 StreamingEngine::StreamingEngine(const StreamingOptions& options)
     : options_(options) {
   resolved_threads_ =
@@ -49,11 +43,10 @@ Result<EdgeId> StreamingEngine::AddEdge(std::span<const NodeId> nodes) {
   Timer timer;
   auto added = graph_.AddEdge(nodes);
   if (!added.ok()) return added.status();
-  const DeltaCounters delta = EnumerateDelta(added.value());
-  counts_ += delta.counts;
+  const MotifCounts delta = EnumerateDelta(added.value());
+  counts_ += delta;
   stats_.arrivals += 1;
-  stats_.candidate_triples += delta.candidates;
-  stats_.new_instances += delta.instances;
+  stats_.new_instances += static_cast<uint64_t>(delta.Total());
   stats_.num_wedges = graph_.num_wedges();
   stats_.elapsed_seconds += timer.Seconds();
   return added;
@@ -73,13 +66,12 @@ Status StreamingEngine::RemoveEdge(EdgeId e) {
   // mutate in place — are exactly the instances the removal destroys.
   // The counts are small integers held in doubles, so the subtraction
   // reverses the earlier additions bit-exactly.
-  const DeltaCounters delta = EnumerateDelta(e);
-  counts_ -= delta.counts;
+  const MotifCounts delta = EnumerateDelta(e);
+  counts_ -= delta;
   Status removed = graph_.RemoveEdge(e);
   MOCHY_DCHECK(removed.ok());
   stats_.removals += 1;
-  stats_.candidate_triples += delta.candidates;
-  stats_.removed_instances += delta.instances;
+  stats_.removed_instances += static_cast<uint64_t>(delta.Total());
   stats_.num_wedges = graph_.num_wedges();
   stats_.elapsed_seconds += timer.Seconds();
   return removed;
@@ -126,76 +118,65 @@ Status StreamingEngine::Restore(const std::vector<std::vector<NodeId>>& edges,
   return Status::OK();
 }
 
-// Enumerates the motif instances containing `e` in the current graph:
-// the delta an arrival adds and, symmetrically, the delta a removal
-// subtracts (callers apply the sign). `e` must be live.
-StreamingEngine::DeltaCounters StreamingEngine::EnumerateDelta(EdgeId e) {
-  DeltaCounters total;
+// Counts the motif instances containing `e` in the current graph: the
+// delta an arrival adds and, symmetrically, the delta a removal subtracts
+// (callers apply the sign). `e` must be live.
+MotifCounts StreamingEngine::EnumerateDelta(EdgeId e) {
   const auto nbrs = graph_.neighbors(e);
-  if (nbrs.empty()) return total;
+  if (nbrs.empty()) return {};
 
-  // The delta is the core's "instances containing e" over the live graph,
-  // split by the first neighbor in N(e) (see docs/STREAMING.md). Each
-  // executing thread prepares e's hub masks once for the whole update,
-  // not per range: the pass is O(Δ) and would otherwise be repaid ~16
-  // times per worker. A removal runs this before graph_.RemoveEdge(e), so
-  // edges_of() still lists e, and only e among the removed ids.
-  auto prepare = [&]() -> ScratchArena& {
+  // The delta is the core's census of the instances containing e over
+  // the live graph (ContainingCensus): the hub-e pair term once, then the
+  // range census over N(e), split into chunks (see docs/STREAMING.md).
+  // Each executing thread prepares e's hub masks once for the whole
+  // update, not per chunk: the pass is O(Δ) and would otherwise be repaid
+  // ~16 times per worker. A removal runs this before graph_.RemoveEdge(e),
+  // so edges_of() still lists e, and only e among the removed ids.
+  auto prepare = [&]() -> const ScratchArena& {
     ScratchArena& arena = internal::ArenaFor(graph_);
     internal::PrepareHubMasks(graph_, e, /*upper_only=*/false,
                               arena.hub_masks);
     return arena;
   };
-  auto count_range = [&](size_t begin, size_t end, ScratchArena& arena,
-                         DeltaCounters& out) {
-    internal::ForEachTripleContainingRange(
-        graph_, e, nbrs, begin, end, arena, [&out](EdgeId, EdgeId, int id) {
-          ++out.candidates;
-          if (id != 0) {
-            out.counts[id] += 1.0;
-            ++out.instances;
-          }
-        });
-  };
+  const MotifClassifier classify;
 
-  // Estimated delta work, mirroring the static hub estimate |N|²: the
-  // pair loop is |N(e)|² and each neighbor's adjacency is swept once.
-  uint64_t estimate =
-      static_cast<uint64_t>(nbrs.size()) * static_cast<uint64_t>(nbrs.size());
+  // Estimated delta work: bucketing N(e), then one sweep of each
+  // neighbor's adjacency.
+  uint64_t estimate = nbrs.size();
   for (const Neighbor& n : nbrs) estimate += graph_.projected_degree(n.edge);
+  const size_t workers = estimate >= options_.parallel_work_threshold
+                             ? std::min(resolved_threads_, nbrs.size())
+                             : 1;
 
-  if (resolved_threads_ > 1 && nbrs.size() >= 2 &&
-      estimate >= options_.parallel_work_threshold) {
-    const size_t workers = std::min(resolved_threads_, nbrs.size());
-    std::vector<uint64_t> cost(nbrs.size());
-    for (size_t ai = 0; ai < nbrs.size(); ++ai) {
-      cost[ai] = graph_.projected_degree(nbrs[ai].edge) +
-                 static_cast<uint64_t>(nbrs.size() - ai);
-    }
-    // Claim Σ-cost-balanced chunks with one atomic each (the hub-loop
-    // scheduling idiom), preparing each thread's arena once.
-    const std::vector<size_t> chunks =
-        WorkChunkBoundaries(cost, workers * 16);
-    const size_t num_chunks = chunks.size() - 1;
-    std::atomic<size_t> next_chunk{0};
-    std::vector<DeltaCounters> partial(workers);
-    ParallelWorkers(workers, [&](size_t worker) {
-      ScratchArena& arena = prepare();
-      while (true) {
-        const size_t c = next_chunk.fetch_add(1, std::memory_order_relaxed);
-        if (c >= num_chunks) return;
-        count_range(chunks[c], chunks[c + 1], arena, partial[worker]);
-      }
-    });
-    for (const DeltaCounters& part : partial) {
-      total.counts += part.counts;
-      total.candidates += part.candidates;
-      total.instances += part.instances;
-    }
-  } else {
-    count_range(0, nbrs.size(), prepare(), total);
+  // ω ≤ |e|, so |e| sizes the buckets for every key of N(e).
+  std::vector<internal::PaddedCensus> partial(workers);
+  internal::OpenPairBuckets buckets(graph_.edge_size(e));
+  internal::ContainingPairCensus(graph_, e, nbrs, buckets, partial[0].n);
+  if (workers == 1) {
+    internal::ContainingRangeCensus(graph_, classify, e, nbrs, 0, nbrs.size(),
+                                    prepare(), partial[0].n);
+    return internal::SumCensus(partial);
   }
-  return total;
+  std::vector<uint64_t> cost(nbrs.size());
+  for (size_t a = 0; a < nbrs.size(); ++a) {
+    cost[a] = graph_.projected_degree(nbrs[a].edge) + 1;
+  }
+  // Claim Σ-cost-balanced chunks with one atomic each (the hub-loop
+  // scheduling idiom); the per-worker censuses are integers, so their sum
+  // is the same at any thread count.
+  const std::vector<size_t> chunks = WorkChunkBoundaries(cost, workers * 16);
+  const size_t num_chunks = chunks.size() - 1;
+  std::atomic<size_t> next_chunk{0};
+  ParallelWorkers(workers, [&](size_t worker) {
+    const ScratchArena& arena = prepare();
+    while (true) {
+      const size_t c = next_chunk.fetch_add(1, std::memory_order_relaxed);
+      if (c >= num_chunks) return;
+      internal::ContainingRangeCensus(graph_, classify, e, nbrs, chunks[c],
+                                      chunks[c + 1], arena, partial[worker].n);
+    }
+  });
+  return internal::SumCensus(partial);
 }
 
 Result<ReplayResult> ReplayTrace(

@@ -58,7 +58,7 @@ struct StreamingOptions {
   /// synchronization.
   size_t num_threads = 1;
 
-  /// Delta passes whose estimated work (|N(e)|² plus the neighbors'
+  /// Delta passes whose estimated work (|N(e)| plus the neighbors'
   /// adjacency sizes) is below this run inline even when num_threads
   /// allows more; fan-out only pays off on hub arrivals.
   uint64_t parallel_work_threshold = 1 << 14;
@@ -69,8 +69,7 @@ struct StreamingOptions {
 struct StreamingStats {
   uint64_t arrivals = 0;           ///< AddEdge calls accepted
   uint64_t removals = 0;           ///< RemoveEdge calls accepted
-  uint64_t candidate_triples = 0;  ///< triples examined by delta passes
-  uint64_t new_instances = 0;      ///< instances added (classified != 0)
+  uint64_t new_instances = 0;      ///< instances added by arrivals
   uint64_t removed_instances = 0;  ///< instances subtracted by removals
   double elapsed_seconds = 0.0;    ///< wall time inside AddEdge/RemoveEdge
   size_t num_threads = 1;          ///< resolved worker budget
@@ -131,8 +130,7 @@ class StreamingEngine {
                  uint64_t arrivals, uint64_t removals);
 
  private:
-  struct DeltaCounters;
-  DeltaCounters EnumerateDelta(EdgeId e);
+  MotifCounts EnumerateDelta(EdgeId e);
 
   StreamingOptions options_;
   size_t resolved_threads_ = 1;

@@ -93,7 +93,9 @@ Status MotifServer::LoadGraph(const std::string& name, Hypergraph graph) {
   auto entry = std::make_unique<GraphEntry>();
   entry->graph = std::move(graph);
   entry->fingerprint = GraphFingerprint(entry->graph);
-  auto engine = MotifEngine::Create(entry->graph);
+  EngineOptions build;
+  build.num_threads = 0;  // the projection build runs on every core
+  auto engine = MotifEngine::Create(entry->graph, build);
   if (!engine.ok()) return engine.status();
   entry->engine =
       std::make_unique<MotifEngine>(std::move(engine).value());

@@ -27,7 +27,7 @@ std::vector<Hypergraph> TestGraphs() {
 // Counts `graph` the pre-batch way: its own engine, sequential call.
 MotifCounts SequentialCount(const Hypergraph& graph,
                             const EngineOptions& options) {
-  auto engine = MotifEngine::Create(graph, 1);
+  auto engine = MotifEngine::Create(graph);
   EXPECT_TRUE(engine.ok()) << engine.status().ToString();
   auto result = engine.value().Count(options);
   EXPECT_TRUE(result.ok()) << result.status().ToString();

@@ -11,7 +11,7 @@
 #include "hypergraph/builder.h"
 #include "motif/mochy_e.h"
 #include "motif/mochy_weighted.h"
-#include "motif/per_edge.h"
+#include "motif/reference.h"
 #include "serve/query.h"
 #include "tests/test_util.h"
 
@@ -351,7 +351,8 @@ TEST(MotifEnginePerEdgeTest, MatchesFreeFunctionRowsExactly) {
     const Hypergraph g = SkewedDuplicateGraph(100 + seed);
     const MotifEngine engine = MotifEngine::Create(g).value();
     const PerEdgeResult result = engine.CountPerEdge().value();
-    const auto oracle = ComputePerEdgeMotifCounts(g, engine.projection());
+    const auto oracle =
+        reference::ComputePerEdgeMotifCounts(g, engine.projection());
     ASSERT_EQ(result.rows.size(), g.num_edges());
     ASSERT_EQ(oracle.size(), g.num_edges());
     for (EdgeId e = 0; e < g.num_edges(); ++e) {

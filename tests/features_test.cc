@@ -11,7 +11,7 @@
 #include "hypergraph/projection.h"
 #include "ml/logistic.h"
 #include "ml/metrics.h"
-#include "motif/per_edge.h"
+#include "motif/reference.h"
 #include "tests/test_util.h"
 
 namespace mochy {
@@ -162,7 +162,8 @@ TEST(FeaturesTest, BatchedRowsMatchFullGraphPerEdgeOracle) {
   const Hypergraph combined =
       std::move(builder).Build(candidate_build).value();
   const auto projection = ProjectedGraph::Build(combined, 1).value();
-  const auto oracle_rows = ComputePerEdgeMotifCounts(combined, projection);
+  const auto oracle_rows =
+      reference::ComputePerEdgeMotifCounts(combined, projection);
 
   const size_t base = f.history.num_edges();
   const size_t n = f.candidates.size();

@@ -339,6 +339,19 @@ std::vector<Hypergraph> NestedCorpus() {
   return graphs;
 }
 
+/// Nested graphs with duplicates around three hubs of 63 to 129 nodes
+/// each: one- to three-word position masks.
+std::vector<Hypergraph> RandomHubCorpus() {
+  std::vector<Hypergraph> graphs;
+  for (uint64_t seed : {5u, 29u, 71u}) {
+    Rng rng(seed);
+    std::vector<size_t> hubs;
+    for (int h = 0; h < 3; ++h) hubs.push_back(63 + rng.UniformInt(67));
+    graphs.push_back(NestedWithDuplicates(240, 60, hubs, seed));
+  }
+  return graphs;
+}
+
 TEST(KernelDiffTest, NestedAndDuplicateEdgesMatchOracles) {
   const std::vector<Hypergraph> graphs = NestedCorpus();
   {
@@ -448,6 +461,60 @@ TEST(KernelDiffTest, CensusPrimitivesMatchPerInstanceClassification) {
   graphs.push_back(HubSearchGraph());
   for (const Hypergraph& graph : graphs) {
     ExpectCensusPrimitivesMatchClassification(graph);
+  }
+}
+
+TEST(KernelDiffTest, ContainingCensusIsPairTermPlusAnyRangePartition) {
+  for (const Hypergraph& graph : RandomHubCorpus()) {
+    ASSERT_GE(graph.max_edge_size(), 63u);
+    const auto projection = ProjectedGraph::Build(graph, 1).value();
+    const internal::ProjectionSource source(graph, projection);
+    const MotifClassifier classify;
+    internal::OpenPairBuckets buckets(internal::MaxEdgeSize(source.size_of));
+    ScratchArena& arena = internal::ArenaFor(graph);
+    const auto rows = reference::ComputePerEdgeMotifCounts(graph, projection);
+    Rng rng(graph.num_edges());
+    for (EdgeId e = 0; e < graph.num_edges(); ++e) {
+      const std::string label = "m=" + std::to_string(graph.num_edges()) +
+                                " e=" + std::to_string(e);
+      const auto nbrs = projection.neighbors(e);
+      internal::MotifCensus whole{};
+      internal::ContainingCensus(source, classify, e, nbrs, buckets, arena,
+                                 whole);
+      for (int t = 1; t <= kNumHMotifs; ++t) {
+        EXPECT_EQ(static_cast<double>(whole[t]), rows[e][t - 1])
+            << label << " per-edge oracle, motif " << t;
+      }
+
+      internal::MotifCensus pairs{};
+      internal::ContainingPairCensus(source, e, nbrs, buckets, pairs);
+      internal::PrepareHubMasks(source, e, /*upper_only=*/false,
+                                arena.hub_masks);
+      const size_t n = nbrs.size();
+      for (size_t split = 0; split <= n; ++split) {
+        internal::MotifCensus got = pairs;
+        internal::ContainingRangeCensus(source, classify, e, nbrs, 0, split,
+                                        arena, got);
+        internal::ContainingRangeCensus(source, classify, e, nbrs, split, n,
+                                        arena, got);
+        ExpectCensusEqual(got, whole,
+                          label + " split " + std::to_string(split));
+      }
+      // Three ranges, added out of order.
+      size_t a = rng.UniformInt(n + 1);
+      size_t b = rng.UniformInt(n + 1);
+      if (a > b) std::swap(a, b);
+      internal::MotifCensus got = pairs;
+      internal::ContainingRangeCensus(source, classify, e, nbrs, b, n, arena,
+                                      got);
+      internal::ContainingRangeCensus(source, classify, e, nbrs, 0, a, arena,
+                                      got);
+      internal::ContainingRangeCensus(source, classify, e, nbrs, a, b, arena,
+                                      got);
+      ExpectCensusEqual(got, whole,
+                        label + " ranges " + std::to_string(a) + "|" +
+                            std::to_string(b));
+    }
   }
 }
 

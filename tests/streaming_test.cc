@@ -450,6 +450,45 @@ TEST(StreamingEngineTest, RandomInterleavingMatchesOracleAtEveryPrefix) {
   }
 }
 
+TEST(StreamingEngineTest, InstanceStatsTrackCountsAfterEveryUpdate) {
+  // The instance statistics are the census sums of the deltas, so the
+  // instances added minus those removed is the live total after every
+  // arrival and removal, inline or fanned out.
+  const std::vector<testing::DynamicOp> schedule =
+      testing::RandomDynamicSchedule(/*num_ops=*/400, /*num_nodes=*/20,
+                                     /*max_edge_size=*/9,
+                                     /*remove_ratio=*/0.4,
+                                     /*query_ratio=*/0.0, /*seed=*/311);
+  for (size_t threads : {1u, 4u}) {
+    StreamingOptions options;
+    options.num_threads = threads;
+    options.parallel_work_threshold = 1;  // fan out on every update
+    StreamingEngine engine(options);
+    std::vector<EdgeId> live;  // engine ids of live edges, insertion order
+    for (size_t i = 0; i < schedule.size(); ++i) {
+      const testing::DynamicOp& op = schedule[i];
+      if (op.kind == testing::DynamicOp::Kind::kAdd) {
+        auto added = engine.AddEdge(
+            std::span<const NodeId>(op.nodes.data(), op.nodes.size()));
+        ASSERT_TRUE(added.ok()) << "op " << i;
+        live.push_back(added.value());
+      } else if (op.kind == testing::DynamicOp::Kind::kRemove) {
+        ASSERT_LT(op.remove_index, live.size()) << "op " << i;
+        ASSERT_TRUE(engine.RemoveEdge(live[op.remove_index]).ok())
+            << "op " << i;
+        live.erase(live.begin() + static_cast<ptrdiff_t>(op.remove_index));
+      }
+      const StreamingStats& stats = engine.stats();
+      ASSERT_GE(stats.new_instances, stats.removed_instances) << "op " << i;
+      ASSERT_EQ(static_cast<double>(stats.new_instances -
+                                    stats.removed_instances),
+                engine.counts().Total())
+          << "op " << i << " threads=" << threads;
+    }
+    EXPECT_GT(engine.stats().removed_instances, 0u) << "threads=" << threads;
+  }
+}
+
 // ---------------------------------------------------------------------
 // ShardedStreamingEngine: multi-producer ingest
 
