@@ -371,7 +371,8 @@ Result<EngineResult> MotifEngine::Count(const EngineOptions& options) const {
         result.counts = CountMotifsEdgeSample(*graph_, projection_, sampler);
       } else {
         auto counts =
-            CountMotifsEdgeSampleLazy(*graph_, *lazy_, sampler, &lazy_stats);
+            CountMotifsEdgeSampleLazy(*graph_, *degrees_, *lazy_, sampler,
+                                      &lazy_stats);
         if (!counts.ok()) return counts.status();
         result.counts = std::move(counts).value();
       }

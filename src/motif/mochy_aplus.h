@@ -4,10 +4,13 @@
 //
 // Samples r hyperwedges {e_i, e_j} uniformly with replacement and adds
 // every instance containing each drawn wedge. The sum does not depend on
-// the order of the samples, so they are counted hub by hub: each block of
-// up to 65,536 draws is sorted, which groups it by e_i; N(e_i) is stamped
-// (and on the lazy path fetched) once per group, and each distinct wedge
-// scans N(e_j) once, its instances counted times its number of draws.
+// the order of the samples, so they are counted hub by hub on the
+// sorted-draw front end (motif/sorted_draws.h): each block of up to
+// 65,536 draws is sorted into runs of equal wedge indices, which groups
+// it by e_i, and each run's hub is found by galloping from the previous
+// one over the wedge prefix. N(e_i) is stamped (and on the lazy path
+// fetched) once per group in a chunk, and each distinct wedge scans
+// N(e_j) once, its instances counted times its number of draws.
 // Open motifs contain 2 wedges and closed motifs 3, so raw counts are
 // rescaled by |∧|/(2r) and |∧|/(3r) respectively, giving unbiased
 // estimates (Theorem 4) with strictly smaller variance than MoCHy-A at
@@ -27,8 +30,9 @@ namespace mochy {
 struct MochyAPlusOptions {
   uint64_t num_samples = 1000;  ///< r — hyperwedge samples (with replacement)
   uint64_t seed = 1;
-  /// Samples are processed in parallel; 0 means DefaultThreadCount(). The
-  /// estimate is bit-identical for any thread count.
+  /// Samples are processed in parallel; 0 means DefaultThreadCount(), and
+  /// at most the pool size runs. The estimate is bit-identical for any
+  /// thread count.
   size_t num_threads = 1;
 };
 

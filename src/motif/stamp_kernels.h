@@ -14,13 +14,16 @@
 //  - WedgeCensus — the instances containing the wedge {e_i, e_j}, by
 //    class, in two steps: PrepareHub(e_i) once, then AddWedge(e_j) for
 //    each wedge that shares e_i. MoCHy-A+ (materialized and lazy) runs
-//    its sorted samples hub by hub through it; the weighted sampler
-//    MoCHy-A+W calls it as a group of one per sample.
+//    its sorted draws (motif/sorted_draws.h) hub by hub through it, each
+//    distinct wedge once times its draws; the weighted sampler MoCHy-A+W
+//    calls it as a group of one per sample.
 //  - ContainingCensus — the instances containing edge e, by class, as
 //    two halves: the hub-e pair term (ContainingPairCensus) and a census
 //    over a range of N(e) (ContainingRangeCensus). MoCHy-A (materialized
-//    and lazy) and the Table-4 HM26 candidate rows run the whole; the
-//    streaming arrival/removal delta splits its range half over threads.
+//    and lazy) runs the whole once per distinct drawn edge of its sorted
+//    draws, times its draws, as do the Table-4 HM26 candidate rows once
+//    per candidate; the streaming arrival/removal delta splits its range
+//    half over threads.
 //  - ForEachHubTriple — instances hubbed at e_i, so that a sweep over all
 //    hubs visits every instance exactly once, O(Σ_e |N_e|²) pairs: the
 //    paths that need each instance, instance enumeration and the
@@ -77,7 +80,6 @@
 
 #include "common/logging.h"
 #include "common/parallel.h"
-#include "common/rng.h"
 #include "common/scratch_arena.h"
 #include "hypergraph/hypergraph.h"
 #include "hypergraph/lazy_projection.h"
@@ -509,34 +511,6 @@ void ContainingCensus(Source& source, const MotifClassifier& classify,
   PrepareHubMasks(source, e, /*upper_only=*/false, arena.hub_masks);
   ContainingRangeCensus(source, classify, e, nbrs, 0, nbrs.size(), arena,
                         census);
-}
-
-/// The sampling loop of MoCHy-A. Sample n of `num_samples`
-/// draws k = UniformInt(population) from its own fork of Rng(seed) — so
-/// the result is identical for any thread count — and worker n mod T
-/// passes it to its visitor(k, arena, census), which adds the sample's
-/// instances to the worker's census by class. `make_visitor(worker)`
-/// builds each worker's visitor with whatever per-worker state its
-/// neighbor source needs. Runs on `num_threads` workers (0 =
-/// DefaultThreadCount(), at most one per sample) and returns the summed
-/// raw counts (slot 0 dropped); num_samples must be > 0.
-template <typename MakeVisitor>
-MotifCounts SampleInstances(const Hypergraph& graph, uint64_t population,
-                            uint64_t num_samples, uint64_t seed,
-                            size_t num_threads, MakeVisitor&& make_visitor) {
-  if (num_threads == 0) num_threads = DefaultThreadCount();
-  if (num_threads > num_samples) num_threads = static_cast<size_t>(num_samples);
-  std::vector<PaddedCensus> partial(num_threads);
-  const Rng base(seed);
-  ParallelWorkers(num_threads, [&](size_t worker) {
-    ScratchArena& arena = ArenaFor(graph);
-    auto visit = make_visitor(worker);
-    for (uint64_t n = worker; n < num_samples; n += num_threads) {
-      Rng rng = base.Fork(n);
-      visit(rng.UniformInt(population), arena, partial[worker].n);
-    }
-  });
-  return SumCensus(partial);
 }
 
 /// Per-hub work of ForEachHubClassParallel: |N_i| to bucket N(e_i) plus

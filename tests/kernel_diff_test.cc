@@ -704,8 +704,9 @@ TEST(KernelDiffTest, HubMasksAtWordBoundariesMatchOracles) {
     const MotifCounts a_got = CountMotifsEdgeSample(graph, projection, a);
     ExpectBitIdentical(a_got, a_want, at + " mochy-a");
     auto a_memo = ConcurrentLazyProjection::Create(graph, degrees, {}).value();
-    ExpectBitIdentical(CountMotifsEdgeSampleLazy(graph, *a_memo, a).value(),
-                       a_got, at + " lazy mochy-a");
+    ExpectBitIdentical(
+        CountMotifsEdgeSampleLazy(graph, degrees, *a_memo, a).value(), a_got,
+        at + " lazy mochy-a");
 
     MochyAPlusOptions ap;
     ap.num_samples = 4000;

@@ -2,6 +2,10 @@
 // sampling): determinism, unbiasedness (Theorems 2 and 4), exhaustive-
 // sampling consistency, and agreement of the on-the-fly variant.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+
+#include <algorithm>
+#include <set>
 
 #include "hypergraph/builder.h"
 #include "motif/engine.h"
@@ -9,6 +13,7 @@
 #include "motif/mochy_aplus.h"
 #include "motif/mochy_e.h"
 #include "motif/reference.h"
+#include "motif/sorted_draws.h"
 #include "tests/test_util.h"
 
 namespace mochy {
@@ -305,6 +310,221 @@ TEST(MochyAPlusSortedTest, OneHubGroupSplitAcrossChunksMatchesReference) {
 TEST(MochyAPlusSortedTest, MoreSamplesThanOneBlockMatchReference) {
   const Fixture f = MakeFixture(13);
   ExpectWedgeSampleMatchesReference(f.graph, 65536 + 4465, "r > block");
+}
+
+// MoCHy-A draws on the same front end: each distinct edge is counted once
+// by ContainingCensus, times its number of draws, on cost-balanced chunks.
+// The same three cases must match its per-sample oracle bit for bit.
+void ExpectEdgeSampleMatchesReference(const Hypergraph& graph,
+                                      uint64_t num_samples,
+                                      const std::string& label) {
+  const ProjectedGraph projection = ProjectedGraph::Build(graph).value();
+  MochyAOptions options;
+  options.num_samples = num_samples;
+  options.seed = 5;
+  options.num_threads = 1;
+  const MotifCounts want =
+      reference::CountMotifsEdgeSample(graph, projection, options);
+  ASSERT_GT(want.Total(), 0.0) << label;
+  testing::ScopedTempDir tmp;
+  for (const size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
+    const std::string context = label + " threads=" + std::to_string(threads);
+    options.num_threads = threads;
+    const MotifCounts materialized =
+        CountMotifsEdgeSample(graph, projection, options);
+    EngineOptions lazy;
+    lazy.algorithm = Algorithm::kEdgeSample;
+    lazy.projection = ProjectionPolicy::kLazy;
+    lazy.memory_budget = 4096;
+    lazy.spill_dir = tmp.dir();
+    lazy.num_samples = num_samples;
+    lazy.seed = options.seed;
+    lazy.num_threads = threads;
+    const MotifCounts spilled =
+        MotifEngine::Create(graph, lazy).value().Count(lazy).value().counts;
+    for (int t = 1; t <= kNumHMotifs; ++t) {
+      ASSERT_EQ(materialized[t], want[t]) << context << " motif " << t;
+      ASSERT_EQ(spilled[t], want[t]) << context << " lazy, motif " << t;
+    }
+  }
+}
+
+TEST(MochyASortedTest, HeavyDuplicatesMatchReference) {
+  const Fixture f = MakeFixture(12);
+  ExpectEdgeSampleMatchesReference(f.graph, 10 * f.graph.num_edges(),
+                                   "r=10|E|");
+}
+
+TEST(MochyASortedTest, StarGraphMatchesReference) {
+  const Hypergraph graph = StarGraph(120);
+  ExpectEdgeSampleMatchesReference(graph, 10 * graph.num_edges(), "star");
+}
+
+TEST(MochyASortedTest, MoreSamplesThanOneBlockMatchReference) {
+  const Fixture f = MakeFixture(13);
+  ExpectEdgeSampleMatchesReference(f.graph, 65536 + 4465, "r > block");
+}
+
+TEST(MochyASortedTest, LazyFetchesEachDistinctEdgeOncePerRun) {
+  // N(e) once for the run of e, then N(e_j) once per e_j ∈ N(e): the
+  // memo sees 1 + |N(e)| lookups per distinct drawn edge, not per draw.
+  const Fixture f = MakeFixture(14);
+  MochyAOptions options;
+  options.num_samples = 10 * f.graph.num_edges();
+  options.seed = 3;
+  std::set<EdgeId> drawn;
+  const Rng base(options.seed);
+  for (uint64_t n = 0; n < options.num_samples; ++n) {
+    Rng rng = base.Fork(n);
+    drawn.insert(static_cast<EdgeId>(rng.UniformInt(f.graph.num_edges())));
+  }
+  uint64_t want = 0;
+  for (const EdgeId e : drawn) want += 1 + f.projection.degree(e);
+  ASSERT_LT(drawn.size(), options.num_samples);
+
+  const ProjectedDegrees degrees = ComputeProjectedDegrees(f.graph);
+  for (const size_t threads : {size_t{1}, size_t{4}}) {
+    options.num_threads = threads;
+    auto memo = ConcurrentLazyProjection::Create(f.graph, degrees, {}).value();
+    LazyProjection::Stats stats;
+    ASSERT_TRUE(
+        CountMotifsEdgeSampleLazy(f.graph, degrees, *memo, options, &stats)
+            .ok());
+    EXPECT_EQ(stats.memo_hits + stats.computations, want)
+        << "threads=" << threads;
+  }
+}
+
+// The front end's parts against the obvious implementations.
+TEST(SortedDrawsTest, RadixGroupingMatchesStdSort) {
+  const uint64_t above32 = (uint64_t{1} << 32) + 12345;
+  for (const uint64_t population :
+       {uint64_t{1}, uint64_t{2}, uint64_t{256}, uint64_t{257},
+        uint64_t{65536}, uint64_t{65537}, above32, ~uint64_t{0}}) {
+    for (const size_t n : {size_t{1}, size_t{1000}, size_t{65536}}) {
+      // Uniform keys, and keys clustered below the population, which
+      // share their high bytes.
+      for (const bool clustered : {false, true}) {
+        const std::string context = "population=" + std::to_string(population) +
+                                    " n=" + std::to_string(n) +
+                                    (clustered ? " clustered" : "");
+        Rng rng(population ^ n);
+        std::vector<uint64_t> keys(n);
+        const uint64_t cluster = std::min<uint64_t>(population, 300);
+        for (uint64_t& key : keys) {
+          key = clustered ? population - 1 - rng.UniformInt(cluster)
+                          : rng.UniformInt(population);
+        }
+        std::vector<uint64_t> want = keys;
+        std::sort(want.begin(), want.end());
+        std::vector<uint64_t> scratch(n);
+        const std::span<uint64_t> sorted =
+            internal::RadixSortDraws(keys, scratch, population);
+        ASSERT_TRUE(std::equal(sorted.begin(), sorted.end(), want.begin(),
+                               want.end()))
+            << context;
+
+        std::vector<uint64_t> want_keys;
+        std::vector<uint64_t> want_times;
+        for (const uint64_t key : want) {
+          if (!want_keys.empty() && want_keys.back() == key) {
+            ++want_times.back();
+          } else {
+            want_keys.push_back(key);
+            want_times.push_back(1);
+          }
+        }
+        const size_t runs = internal::GroupRuns(sorted, keys, scratch);
+        ASSERT_EQ(runs, want_keys.size()) << context;
+        for (size_t r = 0; r < runs; ++r) {
+          ASSERT_EQ(keys[r], want_keys[r]) << context << " run " << r;
+          ASSERT_EQ(scratch[r], want_times[r]) << context << " run " << r;
+        }
+      }
+    }
+  }
+}
+
+TEST(SortedDrawsTest, GallopMatchesUpperBound) {
+  // Hubs with no wedges are zero-width entries: leading, scattered, and
+  // long runs of them, then a long zero tail.
+  Rng rng(11);
+  std::vector<uint64_t> prefix = {0};
+  auto add = [&](uint64_t width) { prefix.push_back(prefix.back() + width); };
+  for (int e = 0; e < 5; ++e) add(0);
+  for (int block = 0; block < 40; ++block) {
+    for (int e = 0; e < 50; ++e) {
+      add(rng.Bernoulli(0.4) ? 0 : rng.UniformInt(6));
+    }
+    for (uint64_t e = rng.UniformInt(400); e > 0; --e) add(0);
+  }
+  add(1);
+  for (int e = 0; e < 1000; ++e) add(0);
+  const uint64_t wedges = prefix.back();
+  ASSERT_GT(wedges, 0u);
+
+  // Dense: every wedge index, twice. Sparse: r ≪ |E| sorted draws.
+  std::vector<uint64_t> dense;
+  for (uint64_t k = 0; k < wedges; ++k) dense.insert(dense.end(), {k, k});
+  std::vector<uint64_t> sparse;
+  for (int s = 0; s < 12; ++s) sparse.push_back(rng.UniformInt(wedges));
+  std::sort(sparse.begin(), sparse.end());
+  for (const auto* draws : {&dense, &sparse}) {
+    size_t hub = 0;
+    for (const uint64_t k : *draws) {
+      hub = internal::GallopHub(prefix, hub, k);
+      const size_t want = static_cast<size_t>(
+          std::upper_bound(prefix.begin(), prefix.end(), k) - prefix.begin() -
+          1);
+      ASSERT_EQ(hub, want) << "k=" << k;
+    }
+  }
+}
+
+// The lazy samplers hold an |E|-sized neighborhood builder per worker, so
+// their workers are capped at the pool: a huge thread request must not
+// allocate a builder per requested thread, and must not change the
+// estimate.
+long PeakRssKb() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_maxrss;
+}
+
+TEST(SamplerThreadsTest, HugeThreadRequestIsCappedAtThePool) {
+  const Hypergraph graph = testing::RandomHypergraph(6000, 12000, 2, 4, 21);
+  ASSERT_GE(graph.num_edges(), 11000u);
+  const ProjectedDegrees degrees = ComputeProjectedDegrees(graph);
+  LazyProjectionOptions budget;
+  budget.memory_budget_bytes = 64 << 10;
+  auto run = [&](size_t threads) {
+    MochyAOptions a;
+    a.num_samples = 2000;
+    a.seed = 9;
+    a.num_threads = threads;
+    MochyAPlusOptions ap;
+    ap.num_samples = 20000;
+    ap.seed = 9;
+    ap.num_threads = threads;
+    auto a_memo =
+        ConcurrentLazyProjection::Create(graph, degrees, budget).value();
+    auto ap_memo =
+        ConcurrentLazyProjection::Create(graph, degrees, budget).value();
+    return std::make_pair(
+        CountMotifsEdgeSampleLazy(graph, degrees, *a_memo, a).value(),
+        CountMotifsWedgeSampleLazy(graph, degrees, *ap_memo, ap).value());
+  };
+  const auto serial = run(1);
+  const long before_kb = PeakRssKb();
+  const auto huge = run(4096);
+  const long growth_kb = PeakRssKb() - before_kb;
+  // One builder is |E| counters (~48 KB here): 4096 of them would be
+  // ~200 MB.
+  EXPECT_LT(growth_kb, 32 << 10) << "peak RSS grew " << growth_kb << " KB";
+  for (int t = 1; t <= kNumHMotifs; ++t) {
+    ASSERT_EQ(huge.first[t], serial.first[t]) << "mochy-a motif " << t;
+    ASSERT_EQ(huge.second[t], serial.second[t]) << "mochy-a+ motif " << t;
+  }
 }
 
 }  // namespace
